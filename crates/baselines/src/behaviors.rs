@@ -1,17 +1,12 @@
-//! The baseline protocols as [`ProtocolBehavior`]s, executable on the
-//! fast arena engines ([`FlatSimulation`](sandf_sim::FlatSimulation),
+//! The baseline protocols as [`ProtocolBehavior`]s, executable on every
+//! engine ([`Simulation`](sandf_sim::Simulation),
+//! [`FlatSimulation`](sandf_sim::FlatSimulation),
 //! [`ParSimulation`](sandf_sim::ParSimulation)).
 //!
-//! These are re-expressions of [`PushOnlyNode`](crate::PushOnlyNode),
-//! [`PushPullNode`](crate::PushPullNode), and
-//! [`ShuffleNode`](crate::ShuffleNode) over a fixed-slot arena window
-//! ([`SlotView`]): the same multiset dynamics (what enters and leaves a
-//! view, and with what probability), not the same RNG draw sequence — the
-//! original `Vec`-backed nodes append below capacity where the arena picks
-//! a uniformly random empty slot, which changes slot positions but not the
-//! view contents. `tests/protocol_conformance.rs` checks the retained
-//! [`BaselineHarness`](crate::BaselineHarness) against these behaviors
-//! statistically (ci95 bands at matched parameters).
+//! Each protocol works over a fixed-slot window ([`SlotView`]): a stored
+//! id lands in a uniformly random empty slot, a full view overwrites a
+//! uniformly random victim (keep-sent-ids protocols) or drops the arrival
+//! (shuffle).
 //!
 //! Wire format: every message is a [`IdBatch`] — `sender` is always the
 //! emitting node, `kind` selects the protocol phase, and the payload ids
@@ -37,8 +32,7 @@ pub const KIND_SHUFFLE_REQUEST: u8 = 2;
 pub const KIND_SHUFFLE_REPLY: u8 = 3;
 
 /// Picks a uniformly random occupied slot offset, or `None` when the view
-/// is empty — the arena equivalent of `view.choose(rng)` on the
-/// `Vec`-backed nodes.
+/// is empty.
 fn random_occupied(view: &SlotView<'_>, rng: &mut StdRng) -> Option<usize> {
     let occupied = view.occupied_offsets();
     if occupied.is_empty() {
@@ -64,7 +58,7 @@ fn store_bounded(view: &mut SlotView<'_>, id: NodeId, rng: &mut StdRng) {
 }
 
 /// Removes up to `count` uniformly random occupied entries, returning the
-/// removed ids — the arena equivalent of `ShuffleNode::take_random`.
+/// removed ids.
 fn take_random(view: &mut SlotView<'_>, count: usize, rng: &mut StdRng) -> Vec<NodeId> {
     let mut taken = Vec::with_capacity(count);
     for _ in 0..count {
@@ -77,8 +71,8 @@ fn take_random(view: &mut SlotView<'_>, count: usize, rng: &mut StdRng) -> Vec<N
 }
 
 /// Absorbs shuffle ids: stored into random empty slots while capacity
-/// lasts, silently dropped afterwards (the multigraph semantics of
-/// `ShuffleNode::absorb`). Returns how many ids were stored.
+/// lasts, silently dropped afterwards (multigraph semantics: duplicates
+/// are kept). Returns how many ids were stored.
 fn absorb(view: &mut SlotView<'_>, ids: impl Iterator<Item = NodeId>, rng: &mut StdRng) -> usize {
     let mut stored = 0;
     for id in ids {
@@ -90,9 +84,9 @@ fn absorb(view: &mut SlotView<'_>, ids: impl Iterator<Item = NodeId>, rng: &mut 
     stored
 }
 
-/// Reinforcement-only push ([`PushOnlyNode`](crate::PushOnlyNode) over the
-/// arena): each action pushes the node's own id plus one copied view id to
-/// a random neighbor; sent ids are kept; a full receiver evicts uniformly.
+/// Reinforcement-only push: each action pushes the node's own id plus one
+/// copied view id to a random neighbor; sent ids are kept; a full receiver
+/// evicts uniformly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PushOnlyBehavior;
 
@@ -139,9 +133,8 @@ impl ProtocolBehavior for PushOnlyBehavior {
     }
 }
 
-/// Allavena-style push-pull ([`PushPullNode`](crate::PushPullNode) over
-/// the arena): reinforcement by push, mixing by a pull reply whose ids are
-/// copied, never removed — loss-immune, dependence-heavy.
+/// Allavena-style push-pull: reinforcement by push, mixing by a pull reply
+/// whose ids are copied, never removed — loss-immune, dependence-heavy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PushPullBehavior {
     /// Ids returned per pull reply (≤ [`IdBatch::CAPACITY`]).
@@ -225,10 +218,9 @@ impl ProtocolBehavior for PushPullBehavior {
     }
 }
 
-/// Cyclon/flipper-style shuffle ([`ShuffleNode`](crate::ShuffleNode) over
-/// the arena): bidirectional exchanges that *delete* sent ids — the
-/// Section 3.1 baseline that drains under loss, because a lost request or
-/// reply permanently destroys the ids in flight.
+/// Cyclon/flipper-style shuffle: bidirectional exchanges that *delete*
+/// sent ids — the Section 3.1 baseline that drains under loss, because a
+/// lost request or reply permanently destroys the ids in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShuffleBehavior {
     /// Ids exchanged per shuffle (≤ [`IdBatch::CAPACITY`]).
@@ -330,98 +322,191 @@ impl ProtocolBehavior for ShuffleBehavior {
 #[cfg(test)]
 mod tests {
     use rand::SeedableRng;
-    use sandf_core::NodeStats;
-    use sandf_sim::EMPTY_SLOT;
+    use sandf_sim::{Simulation, SlotWindow, UniformLoss};
 
     use super::*;
 
-    fn window<'a>(
-        ids: &'a mut [u32],
-        flags: &'a mut [u8],
-        degree: &'a mut u32,
-        stats: &'a mut NodeStats,
-    ) -> SlotView<'a> {
-        SlotView { id: NodeId::new(99), ids, flags, degree, stats }
+    fn id(raw: u64) -> NodeId {
+        NodeId::new(raw)
+    }
+
+    fn window(s: usize, ids: &[u64]) -> SlotWindow {
+        SlotWindow::new(s, &ids.iter().map(|&raw| id(raw)).collect::<Vec<_>>(), 0)
+    }
+
+    fn holds(w: &SlotWindow, raw: u32) -> bool {
+        w.ids.contains(&raw)
     }
 
     fn config() -> SfConfig {
         SfConfig::new(8, 2).unwrap()
     }
 
+    fn push(sender: u64, payload: &[u64], kind: u8) -> IdBatch {
+        let mut msg = IdBatch::new(id(sender), kind);
+        for &raw in payload {
+            msg.push(id(raw), false);
+        }
+        msg
+    }
+
     #[test]
     fn push_only_keeps_the_view_intact() {
-        let mut ids = [1, 2, EMPTY_SLOT, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
-        let mut degree = 2u32;
-        let mut stats = NodeStats::new();
+        let mut w = window(4, &[1, 2]);
         let mut rng = StdRng::seed_from_u64(1);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
-        let (_, msg) = PushOnlyBehavior.initiate(config(), view, &mut rng).unwrap();
-        assert_eq!(degree, 2, "push-only never removes ids");
-        assert_eq!(msg.sender, NodeId::new(99), "reinforcement: own id rides as sender");
+        let (_, msg) = PushOnlyBehavior.initiate(config(), w.view(id(99)), &mut rng).unwrap();
+        assert_eq!(w.degree, 2, "push-only never removes ids");
+        assert_eq!(msg.sender, id(99), "reinforcement: own id rides as sender");
         assert_eq!(msg.len, 1, "one copied view id");
     }
 
     #[test]
-    fn push_pull_replies_with_copies() {
-        let mut ids = [3, 4, 5, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
-        let mut degree = 3u32;
-        let mut stats = NodeStats::new();
+    fn push_only_receive_fills_then_evicts() {
+        let mut w = window(2, &[]);
         let mut rng = StdRng::seed_from_u64(2);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
-        let push = IdBatch::new(NodeId::new(7), KIND_PUSH);
-        let receipt = PushPullBehavior::new(2).receive(config(), view, push, &mut rng);
+        PushOnlyBehavior.receive(config(), w.view(id(9)), push(1, &[2], KIND_PUSH), &mut rng);
+        assert_eq!(w.degree, 2);
+        assert!(holds(&w, 1) && holds(&w, 2));
+        PushOnlyBehavior.receive(config(), w.view(id(9)), push(3, &[4], KIND_PUSH), &mut rng);
+        assert_eq!(w.degree, 2, "eviction keeps the view bounded");
+        assert!(holds(&w, 4), "the last arrival always survives");
+    }
+
+    #[test]
+    fn push_only_never_stores_its_own_id() {
+        let mut w = window(4, &[]);
+        let mut rng = StdRng::seed_from_u64(3);
+        PushOnlyBehavior.receive(config(), w.view(id(9)), push(1, &[9], KIND_PUSH), &mut rng);
+        assert!(!holds(&w, 9));
+        assert_eq!(w.degree, 1);
+    }
+
+    #[test]
+    fn push_pull_push_keeps_the_local_view() {
+        // The push is the whole action: whether it arrives or is lost,
+        // the initiator's view is untouched — losses destroy nothing.
+        let mut w = window(8, &[1, 2]);
+        let mut rng = StdRng::seed_from_u64(1);
+        let (to, msg) =
+            PushPullBehavior::new(2).initiate(config(), w.view(id(0)), &mut rng).unwrap();
+        assert!(to == id(1) || to == id(2));
+        assert_eq!(msg.kind, KIND_PUSH);
+        assert_eq!(w.degree, 2);
+    }
+
+    #[test]
+    fn push_pull_replies_with_copies() {
+        let mut w = window(4, &[3, 4, 5]);
+        let mut rng = StdRng::seed_from_u64(2);
+        let receipt = PushPullBehavior::new(2).receive(
+            config(),
+            w.view(id(99)),
+            push(7, &[], KIND_PUSH),
+            &mut rng,
+        );
         let (to, reply) = receipt.reply.expect("a push triggers a pull reply");
-        assert_eq!(to, NodeId::new(7));
+        assert_eq!(to, id(7));
         assert_eq!(reply.kind, KIND_PULL_REPLY);
         assert_eq!(reply.len, 2);
-        assert_eq!(degree, 4, "the pushed sender id was stored; copies removed nothing");
+        assert_eq!(w.degree, 4, "the pushed sender id was stored; copies removed nothing");
+    }
+
+    #[test]
+    fn push_pull_absorbs_a_pull_reply() {
+        let mut w = window(8, &[1]);
+        let mut rng = StdRng::seed_from_u64(4);
+        let reply = push(1, &[7, 8], KIND_PULL_REPLY);
+        let receipt = PushPullBehavior::new(2).receive(config(), w.view(id(0)), reply, &mut rng);
+        assert!(receipt.reply.is_none(), "a reply ends the exchange");
+        assert_eq!(w.degree, 3);
     }
 
     #[test]
     fn shuffle_removes_sent_ids_and_replies() {
-        let mut ids = [1, 2, 3, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
-        let mut degree = 3u32;
-        let mut stats = NodeStats::new();
+        let mut a = window(4, &[1, 2, 3]);
         let mut rng = StdRng::seed_from_u64(3);
         let behavior = ShuffleBehavior::new(2);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
-        let (_, msg) = behavior.initiate(config(), view, &mut rng).unwrap();
-        assert_eq!(degree, 1, "target + one more id left the view");
+        let (_, msg) = behavior.initiate(config(), a.view(id(99)), &mut rng).unwrap();
+        assert_eq!(a.degree, 1, "target + one more id left the view");
         assert_eq!(msg.len, 1, "one extra id in the request (sender rides separately)");
 
         // Deliver the request to a second window; its reply must carry
         // removed (not copied) ids.
-        let mut ids_b = [10, 11, 12, 13];
-        let mut flags_b = [0u8; 4];
-        let mut degree_b = 4u32;
-        let mut stats_b = NodeStats::new();
-        let view_b = SlotView {
-            id: NodeId::new(50),
-            ids: &mut ids_b,
-            flags: &mut flags_b,
-            degree: &mut degree_b,
-            stats: &mut stats_b,
-        };
-        let receipt = behavior.receive(config(), view_b, msg, &mut rng);
+        let mut b = window(4, &[10, 11, 12, 13]);
+        let receipt = behavior.receive(config(), b.view(id(50)), msg, &mut rng);
         let (_, reply) = receipt.reply.expect("a request triggers a reply");
         assert_eq!(reply.kind, KIND_SHUFFLE_REPLY);
         assert_eq!(reply.len, 2, "gossip_size ids removed into the reply");
         // 4 − 2 removed + 2 absorbed (sender + payload) = 4.
-        assert_eq!(degree_b, 4);
+        assert_eq!(b.degree, 4);
+    }
+
+    #[test]
+    fn shuffle_exchange_conserves_ids_without_loss() {
+        let behavior = ShuffleBehavior::new(2);
+        let mut a = window(8, &[1, 5]);
+        let mut b = window(8, &[0, 6]);
+        let mut rng = StdRng::seed_from_u64(2);
+        let (to, request) = behavior.initiate(config(), a.view(id(0)), &mut rng).unwrap();
+        assert!(to == id(1) || to == id(5), "target from outside the view");
+        let receipt = behavior.receive(config(), b.view(to), request, &mut rng);
+        let (back, reply) = receipt.reply.expect("a request triggers a reply");
+        assert_eq!(back, id(0));
+        behavior.receive(config(), a.view(id(0)), reply, &mut rng);
+        assert_eq!(a.degree + b.degree, 4, "without loss the exchange only moves ids around");
+    }
+
+    #[test]
+    fn shuffle_lost_reply_destroys_ids() {
+        let behavior = ShuffleBehavior::new(2);
+        let mut a = window(8, &[1, 5]);
+        let mut b = window(8, &[0, 6]);
+        let mut rng = StdRng::seed_from_u64(3);
+        let before = a.degree + b.degree;
+        let (to, request) = behavior.initiate(config(), a.view(id(0)), &mut rng).unwrap();
+        let _lost_reply = behavior.receive(config(), b.view(to), request, &mut rng);
+        assert!(a.degree + b.degree < before, "loss must drain ids");
     }
 
     #[test]
     fn empty_views_self_loop() {
-        let mut ids = [EMPTY_SLOT; 4];
-        let mut flags = [0u8; 4];
-        let mut degree = 0u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
-        assert!(ShuffleBehavior::new(2).initiate(config(), view, &mut rng).is_none());
-        assert_eq!(stats.self_loops, 1);
+        let mut w = window(4, &[]);
+        assert!(ShuffleBehavior::new(2).initiate(config(), w.view(id(99)), &mut rng).is_none());
+        assert!(PushOnlyBehavior.initiate(config(), w.view(id(99)), &mut rng).is_none());
+        assert!(PushPullBehavior::new(2).initiate(config(), w.view(id(99)), &mut rng).is_none());
+        assert_eq!(w.stats.self_loops, 3);
+    }
+
+    fn ring(n: u64, k: u64) -> Vec<(NodeId, Vec<NodeId>)> {
+        (0..n).map(|i| (id(i), (1..=k).map(|d| id((i + d) % n)).collect())).collect()
+    }
+
+    fn total_ids<B: ProtocolBehavior>(behavior: B, config: SfConfig, loss: f64) -> usize {
+        let loss = UniformLoss::new(loss).unwrap();
+        let mut sim = Simulation::from_views(behavior, config, ring(64, 6), loss, 1);
+        sim.run_rounds(150);
+        sim.graph().edge_count()
+    }
+
+    #[test]
+    fn shuffle_drains_under_loss_where_sf_holds() {
+        let config = SfConfig::new(12, 4).unwrap();
+        let lossless = total_ids(ShuffleBehavior::new(3), config, 0.0);
+        let lossy = total_ids(ShuffleBehavior::new(3), config, 0.1);
+        assert!(lossy * 2 < lossless, "shuffle should drain under loss: {lossless} vs {lossy}");
+        let sf = total_ids(sandf_sim::SfBehavior, config, 0.1);
+        assert!(sf * 2 > 64 * 6, "S&F must not drain: {sf}");
+    }
+
+    #[test]
+    fn push_pull_is_loss_immune() {
+        let config = SfConfig::new(8, 2).unwrap();
+        let loss = UniformLoss::new(0.2).unwrap();
+        let mut sim =
+            Simulation::from_views(PushPullBehavior::new(2), config, ring(32, 4), loss, 2);
+        sim.run_rounds(100);
+        let graph = sim.graph();
+        assert!(graph.out_degrees().iter().all(|&d| d >= 4), "push-pull never shrinks a view");
     }
 }

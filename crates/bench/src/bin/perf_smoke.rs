@@ -10,8 +10,7 @@
 //!
 //! Defaults: `--nodes 1000000 --rounds 50 --loss 0.01 --seed 42
 //! --engine flat --protocol sandf --threads 1` (`--threads` only affects
-//! `--engine par`; `--protocol shuffle` needs an arena engine — the
-//! classic engine is S&F-only).
+//! `--engine par`).
 //! The JSON report is printed to stdout and, with
 //! `--out`, also written to a file (CI uploads it as an artifact and the
 //! PR commits it as `BENCH_PR<k>.json`). With `--min-steps-per-sec` the
@@ -69,9 +68,6 @@ fn smoke(args: &[String]) -> Result<ExitCode, String> {
             "shuffle" => PerfProtocol::Shuffle,
             other => return Err(format!("unknown protocol {other:?} (sandf|shuffle)")),
         };
-    }
-    if config.engine == PerfEngine::Classic && config.protocol != PerfProtocol::Sf {
-        return Err("the classic engine runs only S&F; use --engine flat or par".to_string());
     }
     if let Some(threads) = parse_flag::<usize>(args, "--threads")? {
         if threads == 0 {

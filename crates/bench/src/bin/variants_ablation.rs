@@ -1,6 +1,7 @@
 //! Ablation of the Section 5 optimizations the paper deferred to future
 //! work: vanilla S&F vs. undeletion, replace-when-full, and batched sends,
-//! under identical loss schedules.
+//! under identical loss schedules, each run through the `Engine` trait on
+//! the flat engine.
 //!
 //! The design questions this answers (DESIGN.md, experiment B2):
 //!
@@ -11,38 +12,45 @@
 //! * how much does *batching* coarsen the degree distribution (moves of
 //!   ±(b+1) instead of ±2)?
 
+use sandf_bench::sweeps::{ring_views, with_protocol, ProtocolJob};
 use sandf_bench::{fmt, header, note};
 use sandf_core::{NodeId, SfConfig};
-use sandf_variants::{
-    BatchedNode, ReplaceNode, SfVariant, UndeleteNode, VanillaNode, VariantMetrics, VariantSim,
-};
+use sandf_graph::DegreeStats;
+use sandf_sim::{Engine, FlatSimulation, ProtocolBehavior, UniformLoss};
 
 const N: usize = 256;
 const ROUNDS: usize = 400;
 
-fn bootstrap(i: usize, k: usize) -> Vec<NodeId> {
-    (1..=k).map(|d| NodeId::new(((i + d) % N) as u64)).collect()
+/// One ablation run: `ROUNDS` lossy rounds from a ring bootstrap, then
+/// the row's metrics.
+struct Ablation {
+    config: SfConfig,
+    views: Vec<(NodeId, Vec<NodeId>)>,
+    loss: f64,
+    seed: u64,
 }
 
-fn run<V: SfVariant>(nodes: Vec<V>, loss: f64, seed: u64) -> VariantMetrics {
-    let mut sim = VariantSim::new(nodes, loss, seed);
-    sim.run_rounds(ROUNDS);
-    sim.metrics()
-}
+impl ProtocolJob for Ablation {
+    type Output = Vec<String>;
 
-fn row(label: &str, loss: f64, m: &VariantMetrics) {
-    let sent = m.stats.sent.max(1);
-    println!(
-        "{label}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        fmt(loss),
-        fmt(m.mean_out),
-        fmt(m.in_std),
-        fmt(m.dependent_fraction),
-        m.total_ids,
-        fmt(m.stats.compensations as f64 / sent as f64),
-        fmt(m.stats.displaced as f64 / sent as f64),
-        m.connected,
-    );
+    fn run<B: ProtocolBehavior>(self, behavior: B) -> Vec<String> {
+        let loss = UniformLoss::new(self.loss).expect("valid rate");
+        let mut sim =
+            FlatSimulation::from_views(behavior, self.config, self.views, loss, self.seed);
+        sim.run_rounds(ROUNDS);
+        let graph = sim.graph();
+        let stats = sim.stats();
+        let sent = stats.sent.max(1) as f64;
+        vec![
+            fmt(DegreeStats::from_samples(&graph.out_degrees()).mean),
+            fmt(DegreeStats::from_samples(&graph.in_degrees()).std_dev()),
+            fmt(1.0 - Engine::dependence(&sim).independent_fraction()),
+            graph.edge_count().to_string(),
+            fmt(stats.duplications as f64 / sent),
+            fmt(stats.deleted as f64 / sent),
+            graph.is_weakly_connected().to_string(),
+        ]
+    }
 }
 
 fn main() {
@@ -60,29 +68,24 @@ fn main() {
     ]);
     let config = SfConfig::new(16, 6).expect("legal");
     let batched_config = SfConfig::new(24, 6).expect("legal");
+    let rows = [
+        ("vanilla", "sandf", config, 10, 0),
+        ("undelete", "undelete", config, 10, 10),
+        ("replace", "replace", config, 10, 20),
+        ("batched_b3", "batched", batched_config, 12, 30),
+    ];
     for (k, &loss) in [0.0, 0.01, 0.05, 0.1].iter().enumerate() {
-        let seed = 1000 + k as u64;
-        let vanilla: Vec<VanillaNode> = (0..N)
-            .map(|i| VanillaNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("vanilla", loss, &run(vanilla, loss, seed));
-
-        let undelete: Vec<UndeleteNode> = (0..N)
-            .map(|i| UndeleteNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("undelete", loss, &run(undelete, loss, seed + 10));
-
-        let replace: Vec<ReplaceNode> = (0..N)
-            .map(|i| ReplaceNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("replace", loss, &run(replace, loss, seed + 20));
-
-        let batched: Vec<BatchedNode> = (0..N)
-            .map(|i| BatchedNode::new(NodeId::new(i as u64), batched_config, 3, &bootstrap(i, 12)))
-            .collect();
-        row("batched_b3", loss, &run(batched, loss, seed + 30));
+        for (label, protocol, config, degree, salt) in rows {
+            let job = Ablation {
+                config,
+                views: ring_views(N, degree),
+                loss,
+                seed: 1000 + k as u64 + salt,
+            };
+            println!("{label}\t{}\t{}", fmt(loss), with_protocol(protocol, job).join("\t"));
+        }
     }
     println!();
-    note("reading guide: dependent_frac includes the dependent bootstrap tags only until they");
-    note("wash out; compare variants within a loss row, not against the Lemma 7.9 bound");
+    note("reading guide: dependent_frac counts tagged entries, in-view duplicates beyond the");
+    note("first, and self-edges; compare variants within a loss row, not against Lemma 7.9");
 }

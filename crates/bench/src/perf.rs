@@ -15,14 +15,14 @@
 //! [`PerfReport::to_json`] emits a stable key order so diffs between PRs
 //! stay readable.
 
-use sandf_baselines::{BaselineHarness, ShuffleBehavior, ShuffleNode};
-use sandf_core::{NodeId, SfConfig};
+use sandf_baselines::ShuffleBehavior;
+use sandf_core::SfConfig;
 use sandf_obs::{duration_buckets, MetricsRegistry, SpanTimer, Stopwatch};
 use sandf_sim::{
     topology, Engine, FlatSimulation, ParSimulation, SimStats, Simulation, UniformLoss,
 };
 
-use crate::sweeps::initial_degree;
+use crate::sweeps::{initial_degree, ring_views};
 
 /// Which engine a perf run drives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,8 +53,7 @@ impl PerfEngine {
 pub enum PerfProtocol {
     /// Send & Forget — the default, supported by every engine.
     Sf,
-    /// The shuffle baseline ([`ShuffleBehavior`] with gossip size 3) on
-    /// the arena engines; the classic engine is S&F-only.
+    /// The shuffle baseline ([`ShuffleBehavior`] with gossip size 3).
     Shuffle,
 }
 
@@ -147,12 +146,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// Phase timings are recorded through `sandf-obs` span histograms
 /// (`perf.build_ns` / `perf.run_ns` / `perf.measure_ns` in `registry`), so
 /// an attached exporter sees the same numbers the JSON reports.
-///
-/// # Panics
-///
-/// Panics on `engine: classic, protocol: shuffle` — the classic per-node
-/// engine runs only S&F; the zoo rides the arena engines through the
-/// [`Engine`]/`ProtocolBehavior` traits.
 #[must_use]
 pub fn run(config: PerfSmokeConfig, registry: &MetricsRegistry) -> PerfReport {
     let loss = UniformLoss::new(config.loss).expect("loss rate validated by caller");
@@ -196,21 +189,16 @@ pub fn run(config: PerfSmokeConfig, registry: &MetricsRegistry) -> PerfReport {
             sim.attach_profiler(registry);
             sim
         }),
-        (PerfEngine::Classic, PerfProtocol::Shuffle) => {
-            panic!("the classic engine runs only S&F; use --engine flat or par for shuffle")
-        }
+        (PerfEngine::Classic, PerfProtocol::Shuffle) => execute(config, registry, || {
+            Simulation::from_views(
+                ShuffleBehavior::new(3),
+                config.config,
+                ring_views(config.nodes, initial),
+                loss,
+                config.seed,
+            )
+        }),
     }
-}
-
-/// The ring bootstrap the zoo protocols start from (the S&F runs use
-/// `topology::circulant`, which is the same shape with S&F slot layout).
-fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
-    (0..n)
-        .map(|i| {
-            let view = (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect();
-            (NodeId::new(i as u64), view)
-        })
-        .collect()
 }
 
 /// The measurement core, generic over the unified [`Engine`] trait: build
@@ -274,97 +262,70 @@ fn ns_to_ms(ns: u64) -> f64 {
     ns as f64 / 1_000_000.0
 }
 
-/// Outcome of the old-harness vs unified-engine shuffle comparison.
+/// Outcome of the classic-vs-flat shuffle comparison.
 ///
-/// Both sides run the same protocol from the same ring bootstrap at the
-/// same loss rate; throughput is steps/sec (one step = one initiated
-/// action), measured over independently chosen round counts so the slow
-/// side doesn't dictate total wall-clock.
+/// Both engines run the same [`ShuffleBehavior`] from the same ring
+/// bootstrap with the same seed and loss rate — the lockstep contract
+/// makes the two runs byte-identical, so the comparison measures the
+/// storage layout alone (per-node windows behind a `HashMap` vs one slot
+/// arena).
 #[derive(Clone, Debug)]
 pub struct SpeedupReport {
     /// System size `n`.
     pub nodes: usize,
     /// Uniform message-loss rate.
     pub loss: f64,
-    /// Rounds the `BaselineHarness` side ran.
-    pub harness_rounds: usize,
-    /// Rounds the `FlatSimulation` side ran.
-    pub engine_rounds: usize,
-    /// Throughput of `BaselineHarness<ShuffleNode>`.
-    pub harness_steps_per_sec: f64,
+    /// Rounds each engine ran.
+    pub rounds: usize,
+    /// Throughput of `Simulation<_, ShuffleBehavior>`.
+    pub classic_steps_per_sec: f64,
     /// Throughput of `FlatSimulation<_, ShuffleBehavior>`.
-    pub engine_steps_per_sec: f64,
-    /// `engine_steps_per_sec / harness_steps_per_sec`.
+    pub flat_steps_per_sec: f64,
+    /// `flat_steps_per_sec / classic_steps_per_sec`.
     pub speedup: f64,
-    /// Final id population on the harness side (sanity: both sides show
-    /// shuffle's drainage dynamics, not a degenerate run).
-    pub harness_total_ids: usize,
-    /// Final id population on the engine side.
-    pub engine_total_ids: usize,
+    /// Final id population (equal on both engines; shows shuffle's
+    /// drainage dynamics, not a degenerate run).
+    pub total_ids: u64,
 }
 
-/// Measures shuffle (gossip size 3) on the retired-in-favor-of-traits
-/// `BaselineHarness` step loop vs [`FlatSimulation`] through the
-/// [`Engine`]/`ProtocolBehavior` traits, at the same `n` and loss rate.
-///
-/// The harness side is `O(n)` per delivery hop (a linear `position` scan
-/// per receiver lookup), so its round count is a separate knob — at
-/// `n = 10⁵` even a couple of rounds dominate the wall-clock while the
-/// arena engine does hundreds in the same time.
-#[must_use]
-pub fn shuffle_speedup(
-    nodes: usize,
-    harness_rounds: usize,
-    engine_rounds: usize,
-    loss: f64,
-    seed: u64,
-) -> SpeedupReport {
-    let k = 8.min(nodes - 1);
-    let views = ring_views(nodes, k);
-    let config = SfConfig::new(16, 6).expect("legal config");
-
-    let harness_nodes: Vec<ShuffleNode> =
-        views.iter().map(|(id, view)| ShuffleNode::new(*id, 16, 3, view)).collect();
-    let mut harness = BaselineHarness::new(harness_nodes, loss, seed);
+/// Times `rounds` rounds of `sim`, returning steps/sec and the final id
+/// population.
+fn timed_rounds<E: Engine>(mut sim: E, nodes: usize, rounds: usize) -> (f64, SimStats, u64) {
     let watch = Stopwatch::start();
-    harness.run_rounds(harness_rounds);
-    let harness_ns = watch.elapsed_ns();
-    let harness_total_ids = harness.metrics().total_ids;
-
-    let rate = UniformLoss::new(loss).expect("loss rate validated by caller");
-    let mut sim = FlatSimulation::from_views(ShuffleBehavior::new(3), config, views, rate, seed);
-    let watch = Stopwatch::start();
-    sim.run_rounds(engine_rounds);
-    let engine_ns = watch.elapsed_ns();
+    sim.run_rounds(rounds);
+    let ns = watch.elapsed_ns();
+    let steps_per_sec =
+        if ns == 0 { 0.0 } else { (nodes * rounds) as f64 / (ns as f64 / 1_000_000_000.0) };
     // Shuffle has no tombstones, so the streaming histogram's edge total
-    // equals the graph snapshot's multiset edge count — without the
-    // O(n·s) rebuild.
-    let engine_total_ids =
-        usize::try_from(sim.degree_stats().edges()).expect("edge count fits usize");
+    // equals the graph snapshot's edge count — without the O(n·s) rebuild.
+    (steps_per_sec, sim.stats(), sim.degree_stats().edges())
+}
 
-    let per_sec = |rounds: usize, ns: u64| {
-        if ns == 0 {
-            0.0
-        } else {
-            (nodes * rounds) as f64 / (ns as f64 / 1_000_000_000.0)
-        }
-    };
-    let harness_steps_per_sec = per_sec(harness_rounds, harness_ns);
-    let engine_steps_per_sec = per_sec(engine_rounds, engine_ns);
+/// Measures shuffle (gossip size 3) on the classic reference engine vs
+/// [`FlatSimulation`], same `n`, seed, loss rate, and round count.
+///
+/// # Panics
+///
+/// Panics if the two engines' runs diverge (the lockstep contract).
+#[must_use]
+pub fn shuffle_speedup(nodes: usize, rounds: usize, loss: f64, seed: u64) -> SpeedupReport {
+    let k = 8.min(nodes - 1);
+    let config = SfConfig::new(16, 6).expect("legal config");
+    let rate = UniformLoss::new(loss).expect("loss rate validated by caller");
+    let behavior = ShuffleBehavior::new(3);
+    let classic = Simulation::from_views(behavior, config, ring_views(nodes, k), rate, seed);
+    let (classic_sps, classic_stats, classic_ids) = timed_rounds(classic, nodes, rounds);
+    let flat = FlatSimulation::from_views(behavior, config, ring_views(nodes, k), rate, seed);
+    let (flat_sps, flat_stats, flat_ids) = timed_rounds(flat, nodes, rounds);
+    assert_eq!((classic_stats, classic_ids), (flat_stats, flat_ids), "engines left lockstep");
     SpeedupReport {
         nodes,
         loss,
-        harness_rounds,
-        engine_rounds,
-        harness_steps_per_sec,
-        engine_steps_per_sec,
-        speedup: if harness_steps_per_sec > 0.0 {
-            engine_steps_per_sec / harness_steps_per_sec
-        } else {
-            0.0
-        },
-        harness_total_ids,
-        engine_total_ids,
+        rounds,
+        classic_steps_per_sec: classic_sps,
+        flat_steps_per_sec: flat_sps,
+        speedup: if classic_sps > 0.0 { flat_sps / classic_sps } else { 0.0 },
+        total_ids: flat_ids,
     }
 }
 
@@ -376,25 +337,23 @@ impl SpeedupReport {
         format!(
             concat!(
                 "{{\n",
-                "  \"schema\": \"sandf-engine-speedup/v1\",\n",
+                "  \"schema\": \"sandf-engine-speedup/v2\",\n",
                 "  \"protocol\": \"shuffle\",\n",
                 "  \"nodes\": {nodes},\n",
+                "  \"rounds\": {rounds},\n",
                 "  \"loss\": {loss},\n",
-                "  \"harness\": {{ \"rounds\": {h_rounds}, \"steps_per_sec\": {h_sps:.1}, ",
-                "\"total_ids\": {h_ids} }},\n",
-                "  \"flat_engine\": {{ \"rounds\": {e_rounds}, \"steps_per_sec\": {e_sps:.1}, ",
-                "\"total_ids\": {e_ids} }},\n",
-                "  \"speedup\": {speedup:.1}\n",
+                "  \"classic\": {{ \"steps_per_sec\": {c_sps:.1} }},\n",
+                "  \"flat\": {{ \"steps_per_sec\": {f_sps:.1} }},\n",
+                "  \"total_ids\": {ids},\n",
+                "  \"speedup\": {speedup:.2}\n",
                 "}}\n",
             ),
             nodes = self.nodes,
+            rounds = self.rounds,
             loss = self.loss,
-            h_rounds = self.harness_rounds,
-            h_sps = self.harness_steps_per_sec,
-            h_ids = self.harness_total_ids,
-            e_rounds = self.engine_rounds,
-            e_sps = self.engine_steps_per_sec,
-            e_ids = self.engine_total_ids,
+            c_sps = self.classic_steps_per_sec,
+            f_sps = self.flat_steps_per_sec,
+            ids = self.total_ids,
             speedup = self.speedup,
         )
     }
@@ -530,28 +489,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "classic engine runs only S&F")]
-    fn classic_engine_rejects_the_zoo() {
-        let mut config = PerfSmokeConfig::at_scale(64, 1);
-        config.engine = PerfEngine::Classic;
+    fn classic_and_flat_agree_on_the_shuffle_fingerprint() {
+        let mut config = PerfSmokeConfig::at_scale(256, 4);
         config.protocol = PerfProtocol::Shuffle;
-        let _ = run(config, &MetricsRegistry::new());
+        let flat = run(config, &MetricsRegistry::new());
+        config.engine = PerfEngine::Classic;
+        assert_eq!(run(config, &MetricsRegistry::new()).stats, flat.stats);
     }
 
     #[test]
     fn shuffle_speedup_reports_both_sides() {
-        let report = shuffle_speedup(128, 2, 4, 0.05, 7);
-        assert!(report.harness_steps_per_sec > 0.0);
-        assert!(report.engine_steps_per_sec > 0.0);
+        let report = shuffle_speedup(128, 4, 0.05, 7);
+        assert!(report.classic_steps_per_sec > 0.0);
+        assert!(report.flat_steps_per_sec > 0.0);
         assert!(report.speedup > 0.0);
-        assert!(report.harness_total_ids > 0);
-        assert!(report.engine_total_ids > 0);
+        assert!(report.total_ids > 0);
         let json = report.to_json();
         for key in [
-            "\"schema\": \"sandf-engine-speedup/v1\"",
+            "\"schema\": \"sandf-engine-speedup/v2\"",
             "\"nodes\": 128",
-            "\"harness\"",
-            "\"flat_engine\"",
+            "\"rounds\": 4",
+            "\"classic\"",
+            "\"flat\"",
             "\"speedup\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -17,10 +17,7 @@
 //! paper scale.
 
 use rand::RngCore;
-use sandf_baselines::{
-    BaselineHarness, GossipProtocol, PushOnlyBehavior, PushOnlyNode, PushPullBehavior,
-    PushPullNode, SfAdapter, ShuffleBehavior, ShuffleNode,
-};
+use sandf_baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_graph::DegreeStats;
 use sandf_markov::{select_thresholds, DegreeMc, DegreeMcParams};
@@ -372,6 +369,55 @@ pub fn threshold_validation_table(
 }
 
 // ---------------------------------------------------------------------------
+// The protocol zoo: ring bootstrap and the one behavior dispatch
+// ---------------------------------------------------------------------------
+
+/// Ring bootstrap: node `i`'s view is the next `k` ids around an
+/// `n`-ring.
+#[must_use]
+pub fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
+    (0..n)
+        .map(|i| {
+            let view = (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect();
+            (NodeId::new(i as u64), view)
+        })
+        .collect()
+}
+
+/// A computation generic over the protocol behavior, run by
+/// [`with_protocol`] for a protocol named by a sweep cell or a CLI.
+pub trait ProtocolJob {
+    /// The job's result.
+    type Output;
+    /// Runs the job with the named protocol's behavior.
+    fn run<B: ProtocolBehavior>(self, behavior: B) -> Self::Output;
+}
+
+/// Every protocol [`with_protocol`] knows, in the zoo's cell order.
+pub const ZOO_PROTOCOLS: [&str; 7] =
+    ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
+
+/// The one protocol-name → behavior dispatch of the bench surfaces:
+/// `sandf`, `push_only`, `push_pull` (reply size 3), `shuffle` (gossip
+/// size 3), `replace`, `undelete`, `batched` (`b = 3`).
+///
+/// # Panics
+///
+/// Panics on a name outside [`ZOO_PROTOCOLS`].
+pub fn with_protocol<J: ProtocolJob>(protocol: &str, job: J) -> J::Output {
+    match protocol {
+        "sandf" => job.run(SfBehavior),
+        "push_only" => job.run(PushOnlyBehavior),
+        "push_pull" => job.run(PushPullBehavior::new(3)),
+        "shuffle" => job.run(ShuffleBehavior::new(3)),
+        "replace" => job.run(ReplaceBehavior),
+        "undelete" => job.run(UndeleteBehavior),
+        "batched" => job.run(BatchedBehavior::new(3)),
+        other => panic!("unknown protocol {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // baseline_compare — §3.1 protocol taxonomy under loss
 // ---------------------------------------------------------------------------
 
@@ -389,28 +435,42 @@ impl SweepCell for BaselineCell {
     }
 }
 
-fn baseline_bootstrap(i: usize, k: usize, n: usize) -> Vec<NodeId> {
-    (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect()
+/// One §3.1 replicate on the flat engine: the id population at the
+/// quarter marks, then empty views, mean outdegree, indegree variance.
+struct BaselineJob<'a> {
+    config: SfConfig,
+    views: &'a [(NodeId, Vec<NodeId>)],
+    loss: f64,
+    seed: u64,
+    rounds: usize,
 }
 
-fn baseline_metrics<P: GossipProtocol>(mut harness: BaselineHarness<P>, rounds: usize) -> Vec<f64> {
-    let quarter = (rounds / 4).max(1);
-    let mut values = Vec::with_capacity(7);
-    for _ in 0..4 {
-        harness.run_rounds(quarter);
-        values.push(harness.metrics().total_ids as f64);
+impl ProtocolJob for BaselineJob<'_> {
+    type Output = Vec<f64>;
+
+    fn run<B: ProtocolBehavior>(self, behavior: B) -> Vec<f64> {
+        let loss = UniformLoss::new(self.loss).expect("valid rate");
+        let mut sim =
+            FlatSimulation::from_views(behavior, self.config, self.views.to_vec(), loss, self.seed);
+        let quarter = (self.rounds / 4).max(1);
+        let mut values = Vec::with_capacity(7);
+        for _ in 0..4 {
+            sim.run_rounds(quarter);
+            values.push(sim.degree_stats().edges() as f64);
+        }
+        let graph = sim.graph();
+        let out = graph.out_degrees();
+        values.push(out.iter().filter(|&&d| d == 0).count() as f64);
+        values.push(DegreeStats::from_samples(&out).mean);
+        values.push(DegreeStats::from_samples(&graph.in_degrees()).variance);
+        values
     }
-    let last = harness.metrics();
-    values.push(last.empty_views as f64);
-    values.push(last.mean_out_degree);
-    values.push(last.in_degree_variance);
-    values
 }
 
 /// §3.1 — S&F vs shuffle vs push-pull vs push-only under identical uniform
-/// loss, replicated. `ids_q1..q4` track the id population at the quarter
-/// marks of the run: shuffles drain, S&F compensates, push variants
-/// saturate.
+/// loss, replicated, on the flat engine. `ids_q1..q4` track the id
+/// population at the quarter marks of the run: shuffles drain, S&F
+/// compensates, push variants saturate.
 #[must_use]
 pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -> String {
     let config = SfConfig::new(16, 6).expect("legal config");
@@ -420,66 +480,19 @@ pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64
             cells.push(BaselineCell { protocol, loss });
         }
     }
+    let views = ring_views(n, 8);
     let spec = SweepSpec::new(cells, replicates, base_seed);
     let results = spec.run(
         &["ids_q1", "ids_q2", "ids_q3", "ids_q4", "empty_views", "mean_out", "in_var"],
         |cell, rng| {
-            let seed = rng.next_u64();
-            match cell.protocol {
-                "sandf" => {
-                    let nodes: Vec<SfAdapter> = (0..n)
-                        .map(|i| {
-                            SfAdapter::new(
-                                SfNode::with_view(
-                                    NodeId::new(i as u64),
-                                    config,
-                                    &baseline_bootstrap(i, 8, n),
-                                )
-                                .expect("bootstrap is legal"),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                "shuffle" => {
-                    let nodes: Vec<ShuffleNode> = (0..n)
-                        .map(|i| {
-                            ShuffleNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                3,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                "push_pull" => {
-                    let nodes: Vec<PushPullNode> = (0..n)
-                        .map(|i| {
-                            PushPullNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                3,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                _ => {
-                    let nodes: Vec<PushOnlyNode> = (0..n)
-                        .map(|i| {
-                            PushOnlyNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-            }
+            let job = BaselineJob {
+                config,
+                views: &views,
+                loss: cell.loss,
+                seed: rng.next_u64(),
+                rounds,
+            };
+            with_protocol(cell.protocol, job)
         },
     );
     results.to_tsv(&["protocol", "loss"], |c| vec![c.protocol.to_string(), fmt(c.loss)])
@@ -504,10 +517,6 @@ impl SweepCell for ZooCell {
     }
 }
 
-/// Every behavior the zoo sweep drives, in cell order.
-const ZOO_PROTOCOLS: [&str; 7] =
-    ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
-
 fn zoo_metrics<E: Engine>(mut sim: E, rounds: usize) -> Vec<f64> {
     sim.run_rounds(rounds);
     let graph = sim.graph();
@@ -519,21 +528,32 @@ fn zoo_metrics<E: Engine>(mut sim: E, rounds: usize) -> Vec<f64> {
     ]
 }
 
-fn zoo_run<B: ProtocolBehavior>(
-    behavior: B,
-    engine: &str,
+/// One zoo replicate on the named arena engine.
+struct ZooJob<'a> {
+    engine: &'a str,
     config: SfConfig,
-    views: Vec<(NodeId, Vec<NodeId>)>,
+    views: &'a [(NodeId, Vec<NodeId>)],
     loss: f64,
     seed: u64,
     rounds: usize,
-) -> Vec<f64> {
-    let loss = UniformLoss::new(loss).expect("valid rate");
-    match engine {
-        "flat" => {
-            zoo_metrics(FlatSimulation::from_views(behavior, config, views, loss, seed), rounds)
+}
+
+impl ProtocolJob for ZooJob<'_> {
+    type Output = Vec<f64>;
+
+    fn run<B: ProtocolBehavior>(self, behavior: B) -> Vec<f64> {
+        let Self { engine, config, views, loss, seed, rounds } = self;
+        let loss = UniformLoss::new(loss).expect("valid rate");
+        let views = views.to_vec();
+        match engine {
+            "flat" => {
+                zoo_metrics(FlatSimulation::from_views(behavior, config, views, loss, seed), rounds)
+            }
+            _ => zoo_metrics(
+                ParSimulation::from_views(behavior, config, views, loss, seed, 2),
+                rounds,
+            ),
         }
-        _ => zoo_metrics(ParSimulation::from_views(behavior, config, views, loss, seed, 2), rounds),
     }
 }
 
@@ -560,26 +580,17 @@ pub fn zoo_engine_table(
     }
     let spec = SweepSpec::new(cells, replicates, base_seed);
     // Same bootstrap views for every cell/replicate — build once, clone in.
-    let views: Vec<(NodeId, Vec<NodeId>)> =
-        (0..n).map(|i| (NodeId::new(i as u64), baseline_bootstrap(i, 8, n))).collect();
+    let views = ring_views(n, 8);
     let results = spec.run(&["total_ids", "mean_out", "in_std", "connected"], |cell, rng| {
-        let seed = rng.next_u64();
-        let views = views.clone();
-        match cell.protocol {
-            "sandf" => zoo_run(SfBehavior, cell.engine, config, views, loss, seed, rounds),
-            "push_only" => {
-                zoo_run(PushOnlyBehavior, cell.engine, config, views, loss, seed, rounds)
-            }
-            "push_pull" => {
-                zoo_run(PushPullBehavior::new(3), cell.engine, config, views, loss, seed, rounds)
-            }
-            "shuffle" => {
-                zoo_run(ShuffleBehavior::new(3), cell.engine, config, views, loss, seed, rounds)
-            }
-            "replace" => zoo_run(ReplaceBehavior, cell.engine, config, views, loss, seed, rounds),
-            "undelete" => zoo_run(UndeleteBehavior, cell.engine, config, views, loss, seed, rounds),
-            _ => zoo_run(BatchedBehavior::new(3), cell.engine, config, views, loss, seed, rounds),
-        }
+        let job = ZooJob {
+            engine: cell.engine,
+            config,
+            views: &views,
+            loss,
+            seed: rng.next_u64(),
+            rounds,
+        };
+        with_protocol(cell.protocol, job)
     });
     results.to_tsv(&["protocol", "engine"], |c| vec![c.protocol.to_string(), c.engine.to_string()])
 }
@@ -640,30 +651,38 @@ fn milestone(value: Option<u64>, rounds: usize) -> f64 {
     value.map_or_else(|| (rounds + 1) as f64, |v| v as f64)
 }
 
-fn broadcast_run<B: ProtocolBehavior>(
-    behavior: B,
+/// One dissemination replicate: burn the views in on the flat engine,
+/// then spread one rumor over them.
+struct BroadcastJob<'a> {
     config: SfConfig,
-    views: Vec<(NodeId, Vec<NodeId>)>,
+    views: &'a [(NodeId, Vec<NodeId>)],
     channel: RumorChannel,
     seed: u64,
     burn_in: usize,
     rounds: usize,
-) -> Vec<f64> {
-    let loss = UniformLoss::new(0.01).expect("valid rate");
-    let mut sim = FlatSimulation::from_views(behavior, config, views, loss, seed);
-    sim.run_rounds(burn_in);
-    let mut layer = BroadcastLayer::with_channel(seed, BroadcastConfig::default(), channel);
-    let origin = Engine::live_ids(&sim).into_iter().min().expect("non-empty sim");
-    layer.seed_rumor_at(origin);
-    layer.run(&mut sim, rounds);
-    let report = layer.report();
-    vec![
-        milestone(report.to_half, rounds),
-        milestone(report.to_99, rounds),
-        milestone(report.to_full, rounds),
-        report.coverage,
-        report.messages_per_node,
-    ]
+}
+
+impl ProtocolJob for BroadcastJob<'_> {
+    type Output = Vec<f64>;
+
+    fn run<B: ProtocolBehavior>(self, behavior: B) -> Vec<f64> {
+        let Self { config, views, channel, seed, burn_in, rounds } = self;
+        let loss = UniformLoss::new(0.01).expect("valid rate");
+        let mut sim = FlatSimulation::from_views(behavior, config, views.to_vec(), loss, seed);
+        sim.run_rounds(burn_in);
+        let mut layer = BroadcastLayer::with_channel(seed, BroadcastConfig::default(), channel);
+        let origin = Engine::live_ids(&sim).into_iter().min().expect("non-empty sim");
+        layer.seed_rumor_at(origin);
+        layer.run(&mut sim, rounds);
+        let report = layer.report();
+        vec![
+            milestone(report.to_half, rounds),
+            milestone(report.to_99, rounds),
+            milestone(report.to_full, rounds),
+            report.coverage,
+            report.messages_per_node,
+        ]
+    }
 }
 
 /// Dissemination grid (DESIGN.md PR 10): fanout-1 push rumor spreading
@@ -695,30 +714,15 @@ pub fn broadcast_table(
         .map(|node| (node.id(), node.view().ids().collect()))
         .collect();
     let results = spec.run(&BROADCAST_METRICS, |cell, rng| {
-        let seed = rng.next_u64();
-        let views = views.clone();
-        let channel = broadcast_channel(cell.channel);
-        match cell.protocol {
-            "sandf" => broadcast_run(SfBehavior, config, views, channel, seed, burn_in, rounds),
-            "push_pull" => broadcast_run(
-                PushPullBehavior::new(3),
-                config,
-                views,
-                channel,
-                seed,
-                burn_in,
-                rounds,
-            ),
-            _ => broadcast_run(
-                ShuffleBehavior::new(3),
-                config,
-                views,
-                channel,
-                seed,
-                burn_in,
-                rounds,
-            ),
-        }
+        let job = BroadcastJob {
+            config,
+            views: &views,
+            channel: broadcast_channel(cell.channel),
+            seed: rng.next_u64(),
+            burn_in,
+            rounds,
+        };
+        with_protocol(cell.protocol, job)
     });
     results
         .to_tsv(&["protocol", "channel"], |c| vec![c.protocol.to_string(), c.channel.to_string()])

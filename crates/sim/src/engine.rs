@@ -8,6 +8,15 @@
 //! exactly one action — i.e. `n` random steps. The practical variant where
 //! every node fires once per round in a random permutation is also provided
 //! ([`Simulation::round_permuted`]).
+//!
+//! The engine is generic over a [`ProtocolBehavior`] (default:
+//! [`SfBehavior`]): each node keeps a small slot window and the behavior
+//! runs over it through a [`SlotView`](crate::SlotView), the same
+//! callback surface the arena engines use. This makes the classic engine
+//! the one readable reference for every protocol in the zoo — with the
+//! same draws in the same order as
+//! [`FlatSimulation`](crate::FlatSimulation), replies included, so the
+//! two engines run in lockstep for any behavior.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -15,14 +24,16 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{
-    InitiateOutcome, JoinError, Message, NodeId, NodeStats, ReceiveOutcome, SfConfig, SfNode,
-};
+use sandf_core::{JoinError, LocalView, Message, NodeId, NodeStats, SfConfig, SfNode};
 use sandf_graph::{DependenceReport, MembershipGraph};
 use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::degree::DegreeStats;
 use crate::fault::{FaultCtx, FaultModel};
+use crate::traits::{
+    checked_word, ProtocolBehavior, SfBehavior, SlotWindow, ARENA_ID_LIMIT, FLAG_DEPENDENT,
+    MAX_REPLY_CHAIN,
+};
 
 /// System-wide event counters, the simulator-side complement of
 /// [`NodeStats`].
@@ -209,7 +220,17 @@ pub enum DelayModel {
     },
 }
 
-/// A deterministic, seeded simulation of an S&F system under message loss.
+/// A deterministic, seeded simulation of a membership protocol under
+/// message loss — the readable per-node reference engine.
+///
+/// Generic over a [`ProtocolBehavior`] `B`, defaulting to [`SfBehavior`]
+/// (the paper's S&F protocol). Each live node keeps a small slot window
+/// ([`SlotWindow`](crate::SlotWindow)) behind a `HashMap`; the behavior
+/// runs over it through a [`SlotView`](crate::SlotView), exactly as on the
+/// arena engines, so for every behavior and seed this engine and
+/// [`FlatSimulation`](crate::FlatSimulation) produce identical runs (the
+/// lockstep tests in `flat.rs` and `tests/protocol_conformance.rs` pin
+/// it).
 ///
 /// # Examples
 ///
@@ -224,9 +245,11 @@ pub enum DelayModel {
 /// assert!(sim.graph().is_weakly_connected());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct Simulation<L> {
+pub struct Simulation<L, B: ProtocolBehavior = SfBehavior> {
     config: SfConfig,
-    nodes: HashMap<NodeId, SfNode>,
+    /// The protocol executed over the slot windows.
+    behavior: B,
+    nodes: HashMap<NodeId, SlotWindow>,
     live: Vec<NodeId>,
     /// Streaming live-outdegree histogram, maintained around every
     /// initiate/receive and at join/leave.
@@ -238,12 +261,12 @@ pub struct Simulation<L> {
     /// Completed rounds — the time base for round-indexed fault models.
     rounds: u64,
     /// Messages in flight, keyed by delivery step.
-    in_flight: BTreeMap<u64, Vec<(NodeId, Message)>>,
+    in_flight: BTreeMap<u64, Vec<(NodeId, B::Msg)>>,
     rng: StdRng,
     stats: SimStats,
     next_id: u64,
     /// Registered step-event observers (not carried across clones).
-    subscribers: Vec<Box<dyn StepSubscriber>>,
+    subscribers: Vec<Box<dyn StepSubscriber<B::Msg>>>,
     /// Hot-path span histograms, when a profiler is attached.
     profile: Option<SimProfile>,
 }
@@ -255,7 +278,11 @@ struct SimProfile {
     deliver: HistogramHandle,
 }
 
-impl<L: Clone> Clone for Simulation<L> {
+/// A delivery hop's outcome: the step event, plus a protocol reply
+/// (receiver, message) still to be routed.
+type HopOutcome<M> = (StepEvent<M>, Option<(NodeId, M)>);
+
+impl<L: Clone, B: ProtocolBehavior> Clone for Simulation<L, B> {
     /// Clones the simulation state. Subscribers are **not** cloned (boxed
     /// observers are not clonable); the clone starts with none. An attached
     /// profiler is shared: both simulations record into the same
@@ -263,6 +290,7 @@ impl<L: Clone> Clone for Simulation<L> {
     fn clone(&self) -> Self {
         Self {
             config: self.config,
+            behavior: self.behavior.clone(),
             nodes: self.nodes.clone(),
             live: self.live.clone(),
             degree_hist: self.degree_hist.clone(),
@@ -280,7 +308,7 @@ impl<L: Clone> Clone for Simulation<L> {
     }
 }
 
-impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
+impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for Simulation<L, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("config", &self.config)
@@ -296,18 +324,15 @@ impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
     }
 }
 
-/// A node's outdegree as the histogram's bucket type.
-fn deg_of(node: &SfNode) -> u32 {
-    u32::try_from(node.out_degree()).expect("outdegree exceeds u32")
-}
-
-impl<L: FaultModel> Simulation<L> {
-    /// Creates a simulation over the given nodes with a seeded RNG.
+impl<L: FaultModel> Simulation<L, SfBehavior> {
+    /// Creates an S&F simulation over the given nodes with a seeded RNG.
+    /// Views (slot positions and dependence tags) and per-node counters
+    /// carry over from the nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty, contains duplicate ids, or mixes
-    /// configurations.
+    /// Panics if `nodes` is empty, contains duplicate ids, mixes
+    /// configurations, or uses an id at or above `u32::MAX`.
     #[must_use]
     pub fn new(nodes: Vec<SfNode>, loss: L, seed: u64) -> Self {
         assert!(!nodes.is_empty(), "simulation needs at least one node");
@@ -317,13 +342,85 @@ impl<L: FaultModel> Simulation<L> {
             "all nodes must share one configuration"
         );
         let live: Vec<NodeId> = nodes.iter().map(SfNode::id).collect();
+        let map: HashMap<NodeId, SlotWindow> = nodes
+            .into_iter()
+            .map(|node| {
+                let mut slots = SlotWindow::new(config.view_size(), &[], 0);
+                for (off, slot) in node.view().slots().enumerate() {
+                    if let Some(entry) = slot {
+                        slots.ids[off] = checked_word(entry.id);
+                        slots.flags[off] = if entry.dependent { FLAG_DEPENDENT } else { 0 };
+                        slots.degree += 1;
+                    }
+                }
+                slots.stats = *node.stats();
+                (node.id(), slots)
+            })
+            .collect();
+        Self::assemble(SfBehavior, config, live, map, loss, seed)
+    }
+
+    /// Creates an S&F simulation with a message-delay model, so actions
+    /// overlap in time (the asynchronous regime of Section 4.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`new`](Self::new), or when the
+    /// delay bound is zero.
+    #[must_use]
+    pub fn with_delay(nodes: Vec<SfNode>, loss: L, delay: DelayModel, seed: u64) -> Self {
+        Self::new(nodes, loss, seed).delayed(delay)
+    }
+}
+
+impl<L: FaultModel, B: ProtocolBehavior> Simulation<L, B> {
+    /// Creates a simulation running an arbitrary [`ProtocolBehavior`] over
+    /// initial views given as id lists (filled in slot order, untagged) —
+    /// the counterpart of
+    /// [`FlatSimulation::from_views`](crate::FlatSimulation::from_views).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `views` is empty, contains duplicate ids, uses an id at
+    /// or above `u32::MAX`, or a view wider than `s`.
+    #[must_use]
+    pub fn from_views(
+        behavior: B,
+        config: SfConfig,
+        views: Vec<(NodeId, Vec<NodeId>)>,
+        loss: L,
+        seed: u64,
+    ) -> Self {
+        assert!(!views.is_empty(), "simulation needs at least one node");
+        let live: Vec<NodeId> = views.iter().map(|(id, _)| *id).collect();
+        let map: HashMap<NodeId, SlotWindow> = views
+            .into_iter()
+            .map(|(id, view)| (id, SlotWindow::new(config.view_size(), &view, 0)))
+            .collect();
+        Self::assemble(behavior, config, live, map, loss, seed)
+    }
+
+    fn assemble(
+        behavior: B,
+        config: SfConfig,
+        live: Vec<NodeId>,
+        nodes: HashMap<NodeId, SlotWindow>,
+        loss: L,
+        seed: u64,
+    ) -> Self {
+        assert_eq!(nodes.len(), live.len(), "duplicate node ids");
         let next_id = live.iter().map(|id| id.as_u64() + 1).max().unwrap_or(0);
-        let map: HashMap<NodeId, SfNode> = nodes.into_iter().map(|n| (n.id(), n)).collect();
-        assert_eq!(map.len(), live.len(), "duplicate node ids");
-        let degree_hist = DegreeStats::rebuild(config.view_size(), map.values().map(deg_of));
+        assert!(
+            next_id <= ARENA_ID_LIMIT,
+            "node id {} exceeds the u32 arena id space (ids must stay below u32::MAX)",
+            next_id - 1
+        );
+        let degree_hist =
+            DegreeStats::rebuild(config.view_size(), live.iter().map(|id| nodes[id].degree));
         Self {
             config,
-            nodes: map,
+            behavior,
+            nodes,
             live,
             degree_hist,
             loss,
@@ -339,10 +436,27 @@ impl<L: FaultModel> Simulation<L> {
         }
     }
 
+    /// Installs a message-delay model on a freshly built simulation
+    /// (builder-style, shared by all constructors).
+    ///
+    /// # Panics
+    ///
+    /// Panics when called after stepping began, or when the delay bound
+    /// is zero.
+    #[must_use]
+    pub fn delayed(mut self, delay: DelayModel) -> Self {
+        assert!(self.now == 0, "the delay model must be installed before stepping");
+        if let DelayModel::UniformSteps { max } = delay {
+            assert!(max > 0, "delay bound must be positive");
+        }
+        self.delay = delay;
+        self
+    }
+
     /// Registers a step-event observer. All subsequent steps (and delayed
     /// deliveries) are reported to it, in registration order, after the
     /// engine's own counters update. See [`StepSubscriber`].
-    pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber>) {
+    pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
         self.subscribers.push(subscriber);
     }
 
@@ -367,7 +481,7 @@ impl<L: FaultModel> Simulation<L> {
     /// Kept out of line so the subscriber-free stepping path stays compact.
     #[cold]
     #[inline(never)]
-    fn notify(&mut self, report: &StepReport) {
+    fn notify(&mut self, report: &StepReport<B::Msg>) {
         let mut subs = std::mem::take(&mut self.subscribers);
         for sub in &mut subs {
             sub.on_step(report);
@@ -377,23 +491,6 @@ impl<L: FaultModel> Simulation<L> {
         self.subscribers = subs;
     }
 
-    /// Creates a simulation with a message-delay model, so actions overlap
-    /// in time (the asynchronous regime of Section 4.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`new`](Self::new), or when the
-    /// delay bound is zero.
-    #[must_use]
-    pub fn with_delay(nodes: Vec<SfNode>, loss: L, delay: DelayModel, seed: u64) -> Self {
-        if let DelayModel::UniformSteps { max } = delay {
-            assert!(max > 0, "delay bound must be positive");
-        }
-        let mut sim = Self::new(nodes, loss, seed);
-        sim.delay = delay;
-        sim
-    }
-
     /// Number of messages currently in flight (always 0 under
     /// [`DelayModel::Immediate`]).
     #[must_use]
@@ -401,49 +498,103 @@ impl<L: FaultModel> Simulation<L> {
         self.in_flight.values().map(Vec::len).sum()
     }
 
+    /// Queues a message for delayed delivery and returns its in-flight
+    /// event.
+    fn schedule(&mut self, max: u64, to: NodeId, message: B::Msg) -> StepEvent<B::Msg> {
+        let deliver_at = self.now + self.rng.gen_range(1..=max);
+        self.in_flight.entry(deliver_at).or_default().push((to, message));
+        StepEvent::InFlight { to, message, duplicated: B::duplicated(&message), deliver_at }
+    }
+
     /// Delivers every in-flight message whose delivery time has arrived.
     /// When `reports` is given, each delivery appends a
     /// [`StepPhase::Delivery`] report (the subscriber path); `None` skips
     /// report assembly on the subscriber-free fast path.
-    fn deliver_due(&mut self, mut reports: Option<&mut Vec<StepReport>>) {
+    fn deliver_due(&mut self, mut reports: Option<&mut Vec<StepReport<B::Msg>>>) {
         while let Some((&at, _)) = self.in_flight.first_key_value() {
             if at > self.now {
                 break;
             }
             let (_, batch) = self.in_flight.pop_first().expect("checked nonempty");
             for (to, message) in batch {
-                let event = self.deliver(to, message);
+                let (event, reply) = self.deliver_hop(to, message);
                 if let Some(out) = reports.as_deref_mut() {
                     out.push(StepReport {
-                        initiator: message.sender,
+                        initiator: B::sender(&message),
                         event,
                         phase: StepPhase::Delivery,
                         step: self.now,
                     });
                 }
+                if reply.is_some() {
+                    self.process_replies(reply, reports.as_deref_mut());
+                }
             }
         }
     }
 
-    /// Executes the receive step at `to` (or counts a dead letter).
-    fn deliver(&mut self, to: NodeId, message: Message) -> StepEvent {
+    /// Executes the receive step at `to` (or counts a dead letter),
+    /// returning the step event and the receiver's reply, if any.
+    fn deliver_hop(&mut self, to: NodeId, message: B::Msg) -> HopOutcome<B::Msg> {
         let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
-        match self.nodes.get_mut(&to) {
-            None => {
-                self.stats.dead_letters += 1;
-                StepEvent::DeadLetter { to, message, duplicated: message.dependent }
+        let duplicated = B::duplicated(&message);
+        let Some(slots) = self.nodes.get_mut(&to) else {
+            self.stats.dead_letters += 1;
+            return (StepEvent::DeadLetter { to, message, duplicated }, None);
+        };
+        let deg_before = slots.degree;
+        let receipt = self.behavior.receive(self.config, slots.view(to), message, &mut self.rng);
+        self.degree_hist.shift(deg_before, slots.degree);
+        if receipt.deleted {
+            self.stats.deleted += 1;
+        } else {
+            self.stats.stored += 1;
+        }
+        (StepEvent::Delivered { to, message, duplicated, deleted: receipt.deleted }, receipt.reply)
+    }
+
+    /// Routes a reply chain back through the channel: a loss draw per
+    /// hop, delay-model scheduling, [`MAX_REPLY_CHAIN`] hops max (excess
+    /// replies are dropped uncounted). S&F never replies.
+    fn process_replies(
+        &mut self,
+        mut reply: Option<(NodeId, B::Msg)>,
+        mut reports: Option<&mut Vec<StepReport<B::Msg>>>,
+    ) {
+        let mut hops = 0;
+        while let Some((to, message)) = reply.take() {
+            hops += 1;
+            if hops > MAX_REPLY_CHAIN {
+                break;
             }
-            Some(receiver) => {
-                let deg_before = deg_of(receiver);
-                let deleted =
-                    matches!(receiver.receive(message, &mut self.rng), ReceiveOutcome::Deleted);
-                self.degree_hist.shift(deg_before, deg_of(receiver));
-                if deleted {
-                    self.stats.deleted += 1;
-                } else {
-                    self.stats.stored += 1;
+            let from = B::sender(&message);
+            let duplicated = B::duplicated(&message);
+            self.stats.sent += 1;
+            self.stats.replies += 1;
+            if duplicated {
+                self.stats.duplications += 1;
+            }
+            let ctx = FaultCtx { from, to, round: self.rounds };
+            let event = if self.loss.drops(ctx, &mut self.rng) {
+                self.stats.lost += 1;
+                StepEvent::Lost { to, message, duplicated }
+            } else {
+                match self.delay {
+                    DelayModel::Immediate => {
+                        let (event, next) = self.deliver_hop(to, message);
+                        reply = next;
+                        event
+                    }
+                    DelayModel::UniformSteps { max } => self.schedule(max, to, message),
                 }
-                StepEvent::Delivered { to, message, duplicated: message.dependent, deleted }
+            };
+            if let Some(out) = reports.as_deref_mut() {
+                out.push(StepReport {
+                    initiator: from,
+                    event,
+                    phase: StepPhase::Delivery,
+                    step: self.now,
+                });
             }
         }
     }
@@ -452,6 +603,12 @@ impl<L: FaultModel> Simulation<L> {
     #[must_use]
     pub fn config(&self) -> SfConfig {
         self.config
+    }
+
+    /// The behavior executing over the slot windows.
+    #[must_use]
+    pub fn behavior(&self) -> &B {
+        &self.behavior
     }
 
     /// Number of live nodes.
@@ -472,15 +629,35 @@ impl<L: FaultModel> Simulation<L> {
         &self.live
     }
 
-    /// A live node by id.
+    /// A live node's visible view as a [`LocalView`] (slot positions and
+    /// dependence tags preserved, hidden slots read as empty), or `None`
+    /// when departed.
     #[must_use]
-    pub fn node(&self, id: NodeId) -> Option<&SfNode> {
-        self.nodes.get(&id)
+    pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
+        self.nodes.get(&id).map(SlotWindow::local_view::<B>)
     }
 
-    /// Iterates over the live nodes (unspecified order).
-    pub fn nodes(&self) -> impl Iterator<Item = &SfNode> {
-        self.nodes.values()
+    /// A live node's event counters, or `None` when departed.
+    #[must_use]
+    pub fn node_stats(&self, id: NodeId) -> Option<&NodeStats> {
+        self.nodes.get(&id).map(|slots| &slots.stats)
+    }
+
+    /// A live node's outdegree, or `None` when departed.
+    #[must_use]
+    pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
+        self.nodes.get(&id).map(|slots| slots.degree as usize)
+    }
+
+    /// Reconstitutes every live node's visible view as an [`SfNode`], in
+    /// live order. The rebuilt nodes start with zeroed counters (read
+    /// [`node_stats`](Self::node_stats) from the engine instead).
+    #[must_use]
+    pub fn to_nodes(&self) -> Vec<SfNode> {
+        self.live
+            .iter()
+            .map(|&id| SfNode::from_view(id, self.config, self.nodes[&id].local_view::<B>()))
+            .collect()
     }
 
     /// Accumulated system-wide counters.
@@ -492,8 +669,8 @@ impl<L: FaultModel> Simulation<L> {
     /// Resets system-wide and per-node counters (e.g. after burn-in).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        for node in self.nodes.values_mut() {
-            node.reset_stats();
+        for slots in self.nodes.values_mut() {
+            slots.stats.reset();
         }
     }
 
@@ -501,15 +678,15 @@ impl<L: FaultModel> Simulation<L> {
     #[must_use]
     pub fn aggregate_node_stats(&self) -> NodeStats {
         let mut total = NodeStats::new();
-        for node in self.nodes.values() {
-            total.merge(node.stats());
+        for slots in self.nodes.values() {
+            total.merge(&slots.stats);
         }
         total
     }
 
     /// Executes one step by a uniformly random live node (the paper's
     /// central-entity model).
-    pub fn step(&mut self) -> StepReport {
+    pub fn step(&mut self) -> StepReport<B::Msg> {
         let initiator = self.live[self.rng.gen_range(0..self.live.len())];
         self.step_node(initiator)
     }
@@ -519,7 +696,7 @@ impl<L: FaultModel> Simulation<L> {
     /// # Panics
     ///
     /// Panics if `initiator` is not live.
-    pub fn step_node(&mut self, initiator: NodeId) -> StepReport {
+    pub fn step_node(&mut self, initiator: NodeId) -> StepReport<B::Msg> {
         let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.step));
         self.now += 1;
         if self.subscribers.is_empty() {
@@ -541,16 +718,22 @@ impl<L: FaultModel> Simulation<L> {
             return report;
         }
         self.stats.actions += 1;
-        let node = self.nodes.get_mut(&initiator).expect("initiator must be live");
-        let deg_before = deg_of(node);
-        let outcome = node.initiate(&mut self.rng);
-        self.degree_hist.shift(deg_before, deg_of(node));
-        let event = match outcome {
-            InitiateOutcome::SelfLoop => {
+        let observed = !self.subscribers.is_empty();
+        // Reports for reply hops triggered by an immediate delivery; they
+        // causally follow the action report, so they are notified after
+        // it. Empty (and unallocated) for non-replying protocols.
+        let mut chained: Vec<StepReport<B::Msg>> = Vec::new();
+        let slots = self.nodes.get_mut(&initiator).expect("initiator must be live");
+        let deg_before = slots.degree;
+        let out = self.behavior.initiate(self.config, slots.view(initiator), &mut self.rng);
+        self.degree_hist.shift(deg_before, slots.degree);
+        let event = match out {
+            None => {
                 self.stats.self_loops += 1;
                 StepEvent::SelfLoop
             }
-            InitiateOutcome::Sent { to, message, duplicated, .. } => {
+            Some((to, message)) => {
+                let duplicated = B::duplicated(&message);
                 self.stats.sent += 1;
                 if duplicated {
                     self.stats.duplications += 1;
@@ -561,28 +744,36 @@ impl<L: FaultModel> Simulation<L> {
                     StepEvent::Lost { to, message, duplicated }
                 } else {
                     match self.delay {
-                        DelayModel::Immediate => self.deliver(to, message),
-                        DelayModel::UniformSteps { max } => {
-                            let deliver_at = self.now + self.rng.gen_range(1..=max);
-                            self.in_flight.entry(deliver_at).or_default().push((to, message));
-                            StepEvent::InFlight { to, message, duplicated, deliver_at }
+                        DelayModel::Immediate => {
+                            let (event, reply) = self.deliver_hop(to, message);
+                            if reply.is_some() {
+                                let sink = if observed { Some(&mut chained) } else { None };
+                                self.process_replies(reply, sink);
+                            }
+                            event
                         }
+                        DelayModel::UniformSteps { max } => self.schedule(max, to, message),
                     }
                 }
             }
         };
         let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.now };
-        if !self.subscribers.is_empty() {
+        if observed {
             self.notify(&report);
+            for chained_report in &chained {
+                self.notify(chained_report);
+            }
         }
         report
     }
 
     /// Delivers every message still in flight (advancing virtual time past
     /// the last scheduled delivery) — call before taking an
-    /// end-of-experiment snapshot of a delayed simulation.
+    /// end-of-experiment snapshot of a delayed simulation. Delivered
+    /// messages may themselves schedule delayed replies, so the drain
+    /// loops until the queue is dry (one pass for non-replying protocols).
     pub fn settle(&mut self) {
-        if let Some((&last, _)) = self.in_flight.last_key_value() {
+        while let Some((&last, _)) = self.in_flight.last_key_value() {
             self.now = self.now.max(last);
             if self.subscribers.is_empty() {
                 self.deliver_due(None);
@@ -673,44 +864,53 @@ impl<L: FaultModel> Simulation<L> {
         self
     }
 
-    /// Adds a new node bootstrapped with `d_L` ids copied from a random
-    /// position in `sponsor`'s view (the paper's joining rule, Section 5;
-    /// the joiner starts with "the minimal possible outdegree `d_L` and
-    /// indegree 0", Section 6.5). Returns the joiner's fresh id.
+    /// Adds a new node bootstrapped with ids copied from a random position
+    /// in `sponsor`'s view — the sample size and the eligible (visible)
+    /// slots are the behavior's choice. For S&F that is the paper's
+    /// joining rule (Section 5): the joiner starts with "the minimal
+    /// possible outdegree `d_L` and indegree 0" (Section 6.5). Returns the
+    /// joiner's fresh id.
     ///
     /// # Errors
     ///
     /// Returns [`JoinError::TooFewIds`] if the sponsor's view holds fewer
-    /// than `d_L` ids.
+    /// visible ids than the behavior's seed size.
     ///
     /// # Panics
     ///
     /// Panics if `sponsor` is not live.
     pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let d_l = self.config.lower_threshold();
-        let sponsor_node = self.nodes.get(&sponsor).expect("sponsor must be live");
-        let mut pool: Vec<NodeId> = sponsor_node.view().ids().collect();
-        if pool.len() < d_l {
-            return Err(JoinError::TooFewIds { supplied: pool.len(), d_l });
+        let want = self.behavior.join_seed_size(self.config);
+        let sponsor_slots = self.nodes.get(&sponsor).expect("sponsor must be live");
+        let mut pool: Vec<NodeId> = sponsor_slots.visible::<B>().collect();
+        if pool.len() < want {
+            return Err(JoinError::TooFewIds { supplied: pool.len(), d_l: want });
         }
         pool.shuffle(&mut self.rng);
-        // An even bootstrap of exactly d_L ids (d_L is even by construction);
-        // with d_L = 0 the joiner starts empty and integrates via receives.
-        let bootstrap: Vec<NodeId> = pool.into_iter().take(d_l).collect();
+        let bootstrap: Vec<NodeId> = pool.into_iter().take(want).collect();
         self.join_with(&bootstrap)
     }
 
-    /// Adds a new node bootstrapped with the given ids.
+    /// Adds a new node bootstrapped with the given ids (tagged dependent,
+    /// filled in slot order — exactly like [`SfNode::with_view`] under the
+    /// default behavior; other behaviors validate through
+    /// [`ProtocolBehavior::validate_bootstrap`]).
     ///
     /// # Errors
     ///
-    /// Propagates [`JoinError`] from [`SfNode::with_view`].
+    /// Returns the behavior's [`JoinError`]s, or
+    /// [`JoinError::IdSpaceExhausted`] when the id allocator has reached
+    /// the `u32` slot-word limit.
     pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
+        self.behavior.validate_bootstrap(self.config, bootstrap.len())?;
+        if self.next_id >= ARENA_ID_LIMIT {
+            return Err(JoinError::IdSpaceExhausted { next: self.next_id, limit: ARENA_ID_LIMIT });
+        }
         let id = NodeId::new(self.next_id);
-        let node = SfNode::with_view(id, self.config, bootstrap)?;
         self.next_id += 1;
-        self.degree_hist.add(deg_of(&node));
-        self.nodes.insert(id, node);
+        let slots = SlotWindow::new(self.config.view_size(), bootstrap, FLAG_DEPENDENT);
+        self.degree_hist.add(slots.degree);
+        self.nodes.insert(id, slots);
         self.live.push(id);
         Ok(id)
     }
@@ -718,20 +918,21 @@ impl<L: FaultModel> Simulation<L> {
     /// Removes a node (a *leave* or *crash* — the paper treats them alike:
     /// the node simply stops participating, Section 5). Its id lingers in
     /// other views until the normal course of the protocol purges it
-    /// (Section 6.5.2). Returns the removed node.
+    /// (Section 6.5.2). Returns the departed node's visible view as an
+    /// [`SfNode`] (counters zeroed, as on the arena engines).
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let node = self.nodes.remove(&id)?;
-        self.degree_hist.remove(deg_of(&node));
+        let slots = self.nodes.remove(&id)?;
+        self.degree_hist.remove(slots.degree);
         let pos = self.live.iter().position(|&x| x == id).expect("live list out of sync");
         self.live.swap_remove(pos);
-        Some(node)
+        Some(SfNode::from_view(id, self.config, slots.local_view::<B>()))
     }
 
-    /// Total multiplicity of `id` across all live views — the number of "id
-    /// instances" tracked by the Section 6.5 decay analysis.
+    /// Total multiplicity of `id` across all live, visible slots — the
+    /// number of "id instances" tracked by the Section 6.5 decay analysis.
     #[must_use]
     pub fn count_id_instances(&self, id: NodeId) -> usize {
-        self.nodes.values().map(|n| n.view().multiplicity(id)).sum()
+        self.nodes.values().map(|slots| slots.visible::<B>().filter(|&v| v == id).count()).sum()
     }
 
     /// Streaming degree statistics — the live outdegree histogram,
@@ -743,20 +944,110 @@ impl<L: FaultModel> Simulation<L> {
         &self.degree_hist
     }
 
-    /// Snapshots the membership graph.
+    /// Snapshots the membership graph (live order; hidden slots are
+    /// invisible).
     #[must_use]
     pub fn graph(&self) -> MembershipGraph {
-        // Iterate in live order for a deterministic snapshot.
-        MembershipGraph::from_views(self.live.iter().map(|id| {
-            let node = &self.nodes[id];
-            (*id, node.view().ids().collect())
-        }))
+        MembershipGraph::from_views(
+            self.live.iter().map(|id| (*id, self.nodes[id].visible::<B>().collect())),
+        )
     }
 
-    /// Measures spatial dependence across all live views (Property M4).
+    /// Measures spatial dependence across all live, visible views
+    /// (Property M4).
     #[must_use]
     pub fn dependence(&self) -> DependenceReport {
-        DependenceReport::measure(self.nodes.values())
+        DependenceReport::measure(self.to_nodes().iter())
+    }
+}
+
+impl<L: FaultModel, B: ProtocolBehavior> crate::traits::Engine for Simulation<L, B> {
+    type Msg = B::Msg;
+    type Fault = L;
+
+    fn len(&self) -> usize {
+        Self::len(self)
+    }
+
+    fn live_ids(&self) -> Vec<NodeId> {
+        Self::live_ids(self).to_vec()
+    }
+
+    fn config(&self) -> SfConfig {
+        Self::config(self)
+    }
+
+    fn stats(&self) -> SimStats {
+        *Self::stats(self)
+    }
+
+    fn reset_stats(&mut self) {
+        Self::reset_stats(self);
+    }
+
+    fn aggregate_node_stats(&self) -> NodeStats {
+        Self::aggregate_node_stats(self)
+    }
+
+    fn round(&mut self) {
+        Self::round(self);
+    }
+
+    fn rounds_run(&self) -> u64 {
+        Self::rounds_run(self)
+    }
+
+    fn in_flight(&self) -> usize {
+        Self::in_flight(self)
+    }
+
+    fn settle(&mut self) {
+        Self::settle(self);
+    }
+
+    fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
+        Self::join_via(self, sponsor)
+    }
+
+    fn leave(&mut self, id: NodeId) -> bool {
+        Self::leave(self, id).is_some()
+    }
+
+    fn out_degree_of(&self, id: NodeId) -> Option<usize> {
+        Self::out_degree_of(self, id)
+    }
+
+    fn count_id_instances(&self, id: NodeId) -> usize {
+        Self::count_id_instances(self, id)
+    }
+
+    fn degree_stats(&self) -> DegreeStats {
+        Self::degree_stats(self).clone()
+    }
+
+    fn graph(&self) -> MembershipGraph {
+        Self::graph(self)
+    }
+
+    fn dependence(&self) -> DependenceReport {
+        Self::dependence(self)
+    }
+
+    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
+        let mut buf: Vec<NodeId> = Vec::with_capacity(self.config.view_size());
+        for &id in &self.live {
+            buf.clear();
+            buf.extend(self.nodes[&id].visible::<B>());
+            visit(id, &buf);
+        }
+    }
+
+    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
+        Self::update_fault(self, f);
+    }
+
+    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
+        Self::subscribe(self, subscriber);
     }
 }
 
@@ -869,11 +1160,11 @@ mod tests {
         sim.run_rounds(10);
         let sponsor = sim.live_ids()[0];
         let joiner = sim.join_via(sponsor).unwrap();
-        let node = sim.node(joiner).unwrap();
-        assert_eq!(node.out_degree(), config().lower_threshold());
+        let view = sim.node_view(joiner).unwrap();
+        assert_eq!(view.out_degree(), config().lower_threshold());
         assert_eq!(sim.len(), 25);
         // The joiner's ids all point at previously existing nodes.
-        assert!(node.view().ids().all(|id| id != joiner));
+        assert!(view.ids().all(|id| id != joiner));
     }
 
     #[test]
@@ -897,8 +1188,8 @@ mod tests {
     fn permuted_round_touches_every_node() {
         let mut sim = small_sim(11);
         sim.round_permuted();
-        for node in sim.nodes() {
-            assert_eq!(node.stats().initiated, 1);
+        for &id in sim.live_ids() {
+            assert_eq!(sim.node_stats(id).unwrap().initiated, 1);
         }
     }
 
@@ -955,8 +1246,8 @@ mod tests {
         );
         for _ in 0..5_000 {
             sim.step();
-            for node in sim.nodes() {
-                let d = node.out_degree();
+            for &id in sim.live_ids() {
+                let d = sim.out_degree_of(id).unwrap();
                 assert_eq!(d % 2, 0);
                 assert!((4..=12).contains(&d));
             }
@@ -1125,8 +1416,8 @@ mod tests {
         assert_eq!(s.sent, s.lost + s.dead_letters + s.stored + s.deleted);
         assert_eq!(sim.rounds_run(), 40);
         // Obs 5.1 still holds under the capacity fault.
-        for node in sim.nodes() {
-            let d = node.out_degree();
+        for &id in sim.live_ids() {
+            let d = sim.out_degree_of(id).unwrap();
             assert_eq!(d % 2, 0);
             assert!((4..=12).contains(&d));
         }

@@ -39,20 +39,20 @@
 //!
 //! # Equivalence contract
 //!
-//! With the default [`SfBehavior`], the fast path is **seed-for-seed
-//! byte-identical** to the classic engine: it performs the same RNG draws
-//! in the same order with the same bounds (initiator pick,
-//! two-distinct-slot pick, loss decision, delay sampling, nth-empty-slot
-//! receive placement), so for any seed and any [`LossModel`] the two
-//! engines produce equal [`SimStats`], equal views (including dependence
-//! tags), equal membership graphs, and equal [`StepReport`] streams —
-//! which in turn makes the [`SimRecorder`](crate::SimRecorder) obs
-//! exposition byte-identical. The `flat_equals_classic_*` tests below and
-//! the golden regression in `crates/bench/tests/flat_equivalence.rs`
-//! enforce this; any change to one engine's draw sequence must be
-//! mirrored in the other. Non-default behaviors make no byte-identity
-//! promise (there is no classic counterpart to compare against); they are
-//! validated statistically in `tests/protocol_conformance.rs`.
+//! For every behavior, the fast path is **seed-for-seed byte-identical**
+//! to the classic engine running the same behavior: it performs the same
+//! RNG draws in the same order with the same bounds (initiator pick, the
+//! behavior's initiate draws, loss decision, delay sampling, the
+//! behavior's receive draws, reply routing), so for any seed and any
+//! [`LossModel`] the two engines produce equal [`SimStats`], equal views
+//! (including dependence tags), equal membership graphs, and equal
+//! [`StepReport`] streams — which in turn makes the
+//! [`SimRecorder`](crate::SimRecorder) obs exposition byte-identical. The
+//! `flat_equals_classic_*` tests below (S&F), the all-protocol lockstep
+//! tests in `tests/protocol_conformance.rs` (delayed replies included, so
+//! the ring's aliasing path has a `BTreeMap` reference), and the golden
+//! regression in `crates/bench/tests/flat_equivalence.rs` enforce this;
+//! any change to one engine's draw sequence must be mirrored in the other.
 //!
 //! # Scope
 //!
@@ -138,8 +138,8 @@ struct FlatProfile {
 /// an empty slot, a parallel byte array carries the per-slot flag bits),
 /// outdegrees and per-node [`NodeStats`] are dense arrays, and the
 /// delayed in-flight queue is a preallocated ring of `max + 1` buckets.
-/// With the default behavior the fast path is **seed-for-seed
-/// byte-identical** to [`Simulation`](crate::Simulation): identical RNG
+/// For any behavior the fast path is **seed-for-seed byte-identical** to
+/// [`Simulation`](crate::Simulation) running that behavior: identical RNG
 /// draws in identical order, hence identical [`SimStats`], views, report
 /// streams, and obs exposition for any seed and loss model.
 ///
@@ -586,23 +586,34 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.dense_of(id).map(|k| self.degree[k] as usize)
     }
 
-    /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved), or `None` when
-    /// departed. Intended for snapshots and tests, not hot paths.
+    /// Reconstitutes a live node's visible [`LocalView`] from the arena
+    /// (slot positions, ids, and dependence tags preserved; hidden slots
+    /// read as empty), or `None` when departed. Intended for snapshots and
+    /// tests, not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
         let k = self.dense_of(id)?;
         Some(self.view_at(k))
     }
 
+    /// A live node's event counters, or `None` when departed.
+    #[must_use]
+    pub fn node_stats(&self, id: NodeId) -> Option<&NodeStats> {
+        self.dense_of(id).map(|k| &self.node_stats[k])
+    }
+
+    /// Node `k`'s visible slots as a [`LocalView`] (hidden slots, e.g.
+    /// tombstones, read as empty).
     fn view_at(&self, k: usize) -> LocalView {
         let base = k * self.s;
         LocalView::from_slots(
             (base..base + self.s)
                 .map(|i| {
-                    (self.slot_ids[i] != EMPTY).then(|| Entry {
-                        id: NodeId::new(u64::from(self.slot_ids[i])),
-                        dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
+                    (self.slot_ids[i] != EMPTY && B::slot_visible(self.slot_flags[i])).then(|| {
+                        Entry {
+                            id: NodeId::new(u64::from(self.slot_ids[i])),
+                            dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
+                        }
                     })
                 })
                 .collect(),
@@ -610,7 +621,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in live order.
-    /// Views carry over exactly; the per-node *counters* do not (the
+    /// Visible views carry over exactly; the per-node *counters* do not (the
     /// rebuilt nodes start with zeroed [`NodeStats`] — read
     /// [`aggregate_node_stats`](Self::aggregate_node_stats) from the
     /// engine instead).
@@ -1187,6 +1198,10 @@ impl<L: FaultModel, B: ProtocolBehavior> crate::traits::Engine for FlatSimulatio
         Self::graph(self)
     }
 
+    fn dependence(&self) -> DependenceReport {
+        Self::dependence(self)
+    }
+
     fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
         let mut buf: Vec<NodeId> = Vec::with_capacity(self.s);
         for &entry in &self.live {
@@ -1247,13 +1262,8 @@ mod tests {
         classic_live.sort_unstable();
         flat_live.sort_unstable();
         for &id in &classic_live {
-            let classic_view = classic.node(id).expect("live in classic").view().clone();
-            let flat_view = flat.node_view(id).expect("live in flat");
-            assert_eq!(classic_view, flat_view, "view of {id} diverged");
-            assert_eq!(classic.node(id).unwrap().stats(), {
-                let agg = flat.node_stats[flat.dense_of(id).unwrap()];
-                &agg.clone()
-            });
+            assert_eq!(classic.node_view(id), flat.node_view(id), "view of {id} diverged");
+            assert_eq!(classic.node_stats(id), flat.node_stats(id), "stats of {id} diverged");
         }
     }
 

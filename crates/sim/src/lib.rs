@@ -4,8 +4,10 @@
 //! message loss* (Section 4.1) and analyzes executions in which "a central
 //! entity repeatedly selects a random node \[and\] invokes its
 //! `S&F-InitiateAction()` method" (Section 5). This crate is that model,
-//! executable: a seeded discrete-event [`Simulation`] over
-//! [`sandf_core::SfNode`]s, with pluggable [`LossModel`]s, churn
+//! executable: a seeded discrete-event [`Simulation`] of any
+//! [`ProtocolBehavior`] (the paper's S&F by default, bootstrapped from
+//! [`sandf_core::SfNode`]s), its lockstep arena twin [`FlatSimulation`]
+//! and the sharded [`ParSimulation`], with pluggable [`LossModel`]s, churn
 //! (join/leave), initial [`topology`] builders, measurement
 //! [`observer`]s, and ready-made [`experiment`] runners for every empirical
 //! result in the paper's evaluation.
@@ -62,6 +64,6 @@ pub use loss::{GilbertElliott, LossModel, LossRateError, TargetedLoss, UniformLo
 pub use par::ParSimulation;
 pub use telemetry::SimRecorder;
 pub use traits::{
-    slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, ARENA_ID_LIMIT,
-    EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE, MAX_REPLY_CHAIN,
+    slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, SlotWindow,
+    ARENA_ID_LIMIT, EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE, MAX_REPLY_CHAIN,
 };

@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use sandf_core::NodeId;
 use sandf_graph::{chi_square_uniform, Histogram};
 
-use crate::engine::Simulation;
-use crate::loss::LossModel;
+use crate::traits::Engine;
 
 /// Accumulates in/outdegree histograms across snapshots, pooling all nodes —
 /// the empirical counterpart of the degree-MC stationary distributions of
@@ -26,7 +25,7 @@ impl DegreeSampler {
     }
 
     /// Records the degrees of every live node in the simulation.
-    pub fn sample<L: LossModel>(&mut self, sim: &Simulation<L>) {
+    pub fn sample<E: Engine>(&mut self, sim: &E) {
         let graph = sim.graph();
         for d in graph.out_degrees() {
             self.out_degrees.record(d);
@@ -75,17 +74,19 @@ impl OccupancyCounter {
     /// Records, for every live node `v`, the number of *other* views that
     /// currently contain `v` (presence, not multiplicity — matching the
     /// event `v ∈ u.lv`).
-    pub fn sample<L: LossModel>(&mut self, sim: &Simulation<L>) {
-        for viewer in sim.nodes() {
-            let mut seen: Vec<NodeId> = viewer.view().ids().collect();
+    pub fn sample<E: Engine>(&mut self, sim: &E) {
+        let mut seen: Vec<NodeId> = Vec::new();
+        sim.for_each_live_view(&mut |viewer, view| {
+            seen.clear();
+            seen.extend_from_slice(view);
             seen.sort_unstable();
             seen.dedup();
-            for v in seen {
-                if v != viewer.id() {
+            for &v in &seen {
+                if v != viewer {
                     *self.appearances.entry(v).or_insert(0) += 1;
                 }
             }
-        }
+        });
         self.snapshots += 1;
     }
 
@@ -131,6 +132,7 @@ impl OccupancyCounter {
 mod tests {
     use sandf_core::SfConfig;
 
+    use crate::engine::Simulation;
     use crate::loss::UniformLoss;
     use crate::topology;
 
@@ -160,7 +162,7 @@ mod tests {
         let sim = sim();
         // Duplicate an id inside one view: presence must count once.
         let viewer = sim.live_ids()[0];
-        let seen = sim.node(viewer).unwrap().view().ids().next().unwrap();
+        let seen = sim.node_view(viewer).unwrap().ids().next().unwrap();
         let mut counter = OccupancyCounter::new();
         counter.sample(&sim);
         let baseline = counter.count(seen);

@@ -790,23 +790,28 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         self.dense_of(id).map(|k| self.degree[k] as usize)
     }
 
-    /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved), or `None` when
-    /// departed. Intended for snapshots and tests, not hot paths.
+    /// Reconstitutes a live node's visible [`LocalView`] from the arena
+    /// (slot positions, ids, and dependence tags preserved; hidden slots
+    /// read as empty), or `None` when departed. Intended for snapshots and
+    /// tests, not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
         let k = self.dense_of(id)?;
         Some(self.view_at(k))
     }
 
+    /// Node `k`'s visible slots as a [`LocalView`] (hidden slots, e.g.
+    /// tombstones, read as empty).
     fn view_at(&self, k: usize) -> LocalView {
         let base = k * self.s;
         LocalView::from_slots(
             (base..base + self.s)
                 .map(|i| {
-                    (self.slot_ids[i] != EMPTY).then(|| Entry {
-                        id: NodeId::new(u64::from(self.slot_ids[i])),
-                        dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
+                    (self.slot_ids[i] != EMPTY && B::slot_visible(self.slot_flags[i])).then(|| {
+                        Entry {
+                            id: NodeId::new(u64::from(self.slot_ids[i])),
+                            dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
+                        }
                     })
                 })
                 .collect(),
@@ -814,7 +819,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in dense arena
-    /// order. Views carry over exactly; per-node counters are zeroed
+    /// order. Visible views carry over exactly; per-node counters are zeroed
     /// (read [`aggregate_node_stats`](Self::aggregate_node_stats) from
     /// the engine instead).
     #[must_use]
@@ -1444,6 +1449,10 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> crate::traits::Engine
 
     fn graph(&self) -> MembershipGraph {
         Self::graph(self)
+    }
+
+    fn dependence(&self) -> DependenceReport {
+        Self::dependence(self)
     }
 
     fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {

@@ -16,21 +16,25 @@
 //! * [`ProtocolBehavior`] — a membership protocol expressed over one
 //!   node's slot window ([`SlotView`]): an initiate action, a receive
 //!   handler that may produce one reply, and the bootstrap/visibility
-//!   hooks churn and measurement need. The flat and par engines are
-//!   generic over a behavior (defaulting to [`SfBehavior`], the paper's
-//!   S&F protocol), which is how push-only, push-pull, shuffle, and the
-//!   S&F variants run at multi-million-steps/sec scale.
+//!   hooks churn and measurement need. All three engines are generic over
+//!   a behavior (defaulting to [`SfBehavior`], the paper's S&F protocol),
+//!   so each protocol — S&F, push-only, push-pull, shuffle, and the S&F
+//!   variants — is written exactly once and runs on the readable classic
+//!   engine and at multi-million-steps/sec scale on the arena engines.
 //!
 //! # Draw-order contract
 //!
-//! [`SfBehavior`] performs **exactly** the RNG draws the engines performed
-//! before the unification, in the same order with the same bounds
+//! [`SfBehavior`] performs **exactly** the RNG draws of
+//! [`SfNode`](sandf_core::SfNode), in the same order with the same bounds
 //! (slot pick `i`, distinct slot pick `j`, then per delivered message the
 //! nth-empty-slot placement draws). S&F never replies, so the reply
-//! machinery below consumes zero draws for it — the
-//! `flat_equals_classic_*` lockstep tests and the bench goldens pin this.
-//! Protocols other than S&F make no byte-identity promise across engines;
-//! they agree statistically (see `tests/protocol_conformance.rs`).
+//! machinery consumes zero draws for it. The classic and flat engines
+//! share one scheduling order (initiator pick, action, loss draw per hop,
+//! delay draw, delivery, reply routing), so for **every** behavior they
+//! are seed-for-seed byte-identical — the `flat_equals_classic_*` tests,
+//! the all-protocol lockstep tests in `tests/protocol_conformance.rs`,
+//! and the bench goldens pin this. The par engine's phase-split rounds
+//! agree statistically instead.
 //!
 //! The engines draw message loss **at send time, before the receiver's
 //! liveness is known** — a message to a departed node consumes a loss draw
@@ -38,16 +42,14 @@
 //! of the byte-identity contract between the engines and is therefore
 //! pinned here rather than "fixed": a dead letter is a property of the
 //! receiver discovered at delivery, while loss is a property of the
-//! channel decided at send. (The retired `BaselineHarness` did the
-//! opposite and checked liveness first; its RNG stream shifted under churn
-//! — see `sandf-baselines` for the regression test.)
+//! channel decided at send.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sandf_core::{JoinError, Message, NodeId, NodeStats, SfConfig};
-use sandf_graph::MembershipGraph;
+use sandf_core::{Entry, JoinError, LocalView, Message, NodeId, NodeStats, SfConfig};
+use sandf_graph::{DependenceReport, MembershipGraph};
 
 use crate::degree::DegreeStats;
 use crate::engine::{SimStats, StepSubscriber};
@@ -182,6 +184,95 @@ impl SlotView<'_> {
     }
 }
 
+/// An owned slot window: one node's `s` slot words ([`EMPTY_SLOT`] =
+/// empty), the parallel flag bits, the live outdegree ledger, and the
+/// node's counters — the per-node counterpart of one row of the arena
+/// engines. It is the classic engine's node state, and a standalone
+/// harness for driving a [`ProtocolBehavior`] by hand (see
+/// [`view`](Self::view)).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SlotWindow {
+    /// Slot ids as arena words (`EMPTY_SLOT` = empty).
+    pub ids: Box<[u32]>,
+    /// Per-slot flag bits, parallel to `ids`.
+    pub flags: Box<[u8]>,
+    /// The live outdegree ledger.
+    pub degree: u32,
+    /// The node's event counters.
+    pub stats: NodeStats,
+}
+
+impl SlotWindow {
+    /// An `s`-slot window holding `ids` in slot order, every entry
+    /// carrying `flags`; counters start at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `s` ids are given or an id is at or above
+    /// [`ARENA_ID_LIMIT`].
+    #[must_use]
+    pub fn new(s: usize, ids: &[NodeId], flags: u8) -> Self {
+        assert!(ids.len() <= s, "initial view exceeds the view size");
+        let mut words = vec![EMPTY_SLOT; s].into_boxed_slice();
+        for (slot, id) in words.iter_mut().zip(ids) {
+            *slot = checked_word(*id);
+        }
+        let mut flag_bits = vec![0u8; s].into_boxed_slice();
+        flag_bits[..ids.len()].fill(flags);
+        let degree = u32::try_from(ids.len()).expect("view size exceeds u32");
+        Self { ids: words, flags: flag_bits, degree, stats: NodeStats::new() }
+    }
+
+    /// The window as node `id` hands it to a behavior callback.
+    pub fn view(&mut self, id: NodeId) -> SlotView<'_> {
+        SlotView {
+            id,
+            ids: &mut self.ids,
+            flags: &mut self.flags,
+            degree: &mut self.degree,
+            stats: &mut self.stats,
+        }
+    }
+
+    /// The ids behavior `B` exposes to measurement, in slot order.
+    pub fn visible<B: ProtocolBehavior>(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.ids
+            .iter()
+            .zip(self.flags.iter())
+            .filter(|&(&id, &flags)| id != EMPTY_SLOT && B::slot_visible(flags))
+            .map(|(&id, _)| NodeId::new(u64::from(id)))
+    }
+
+    /// The slots `B` exposes as a [`LocalView`] (positions and dependence
+    /// tags preserved; hidden slots read as empty).
+    #[must_use]
+    pub fn local_view<B: ProtocolBehavior>(&self) -> LocalView {
+        LocalView::from_slots(
+            self.ids
+                .iter()
+                .zip(self.flags.iter())
+                .map(|(&id, &flags)| {
+                    (id != EMPTY_SLOT && B::slot_visible(flags)).then(|| Entry {
+                        id: NodeId::new(u64::from(id)),
+                        dependent: flags & FLAG_DEPENDENT != 0,
+                    })
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Narrows an id to its slot word, rejecting ids the `u32` slot encoding
+/// cannot represent (the release-mode counterpart of [`slot_word`]'s
+/// debug assertion, for construction-time checks).
+pub(crate) fn checked_word(id: NodeId) -> u32 {
+    assert!(
+        id.as_u64() < ARENA_ID_LIMIT,
+        "node id {id} exceeds the u32 arena id space (ids must stay below u32::MAX)"
+    );
+    slot_word(id)
+}
+
 /// The outcome of delivering one message to a node: whether the payload
 /// was discarded (full view / displacement), and at most one reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,7 +304,8 @@ impl<M> Receipt<M> {
 }
 
 /// A membership protocol expressed over one node's slot window, executable
-/// on any arena engine ([`FlatSimulation`](crate::FlatSimulation),
+/// on every engine ([`Simulation`](crate::Simulation),
+/// [`FlatSimulation`](crate::FlatSimulation),
 /// [`ParSimulation`](crate::ParSimulation)).
 ///
 /// The engine owns scheduling, the channel (loss, delay, dead letters),
@@ -283,18 +375,18 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
     }
 }
 
-/// Maximum reply hops processed per delivered message (matching the old
-/// baseline harness's chain cap). Push-pull and shuffle use one reply;
-/// the cap only guards against a misbehaving protocol.
+/// Maximum reply hops processed per delivered message. Push-pull and
+/// shuffle use one reply; the cap only guards against a misbehaving
+/// protocol.
 pub const MAX_REPLY_CHAIN: usize = 8;
 
 /// The paper's S&F protocol as a [`ProtocolBehavior`] — the default
-/// behavior of the flat and par engines.
+/// behavior of all three engines.
 ///
-/// This is a verbatim extraction of the engines' previous inline
-/// initiate/receive code: identical draws, identical order, identical
-/// counter updates. It never replies, so the generic reply machinery is
-/// dead code on the S&F path.
+/// Draw-for-draw and counter-for-counter the same state machine as
+/// [`SfNode`](sandf_core::SfNode) (the `sf_behavior_matches_sf_node`
+/// property test below drives both side by side). It never
+/// replies, so the generic reply machinery is dead code on the S&F path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SfBehavior;
 
@@ -514,6 +606,11 @@ pub trait Engine {
     /// Snapshots the membership graph.
     fn graph(&self) -> MembershipGraph;
 
+    /// Measures spatial dependence across all live views (Property M4),
+    /// counting exactly the protocol-visible slots [`Engine::graph`]
+    /// records (tombstones hidden).
+    fn dependence(&self) -> DependenceReport;
+
     /// Visits every live node's current view as `(viewer, neighbour_ids)`,
     /// in the engine's deterministic live order. The slice holds exactly
     /// the protocol-visible occupied slots (tombstones hidden) — the same
@@ -533,96 +630,11 @@ pub trait Engine {
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
 }
 
-impl<L: crate::fault::FaultModel> Engine for crate::Simulation<L> {
-    type Msg = Message;
-    type Fault = L;
-
-    fn len(&self) -> usize {
-        Self::len(self)
-    }
-
-    fn live_ids(&self) -> Vec<NodeId> {
-        Self::live_ids(self).to_vec()
-    }
-
-    fn config(&self) -> SfConfig {
-        Self::config(self)
-    }
-
-    fn stats(&self) -> SimStats {
-        *Self::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        Self::reset_stats(self);
-    }
-
-    fn aggregate_node_stats(&self) -> NodeStats {
-        Self::aggregate_node_stats(self)
-    }
-
-    fn round(&mut self) {
-        Self::round(self);
-    }
-
-    fn rounds_run(&self) -> u64 {
-        Self::rounds_run(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        Self::in_flight(self)
-    }
-
-    fn settle(&mut self) {
-        Self::settle(self);
-    }
-
-    fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        Self::join_via(self, sponsor)
-    }
-
-    fn leave(&mut self, id: NodeId) -> bool {
-        Self::leave(self, id).is_some()
-    }
-
-    fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.node(id).map(sandf_core::SfNode::out_degree)
-    }
-
-    fn count_id_instances(&self, id: NodeId) -> usize {
-        Self::count_id_instances(self, id)
-    }
-
-    fn degree_stats(&self) -> DegreeStats {
-        Self::degree_stats(self).clone()
-    }
-
-    fn graph(&self) -> MembershipGraph {
-        Self::graph(self)
-    }
-
-    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        let mut buf: Vec<NodeId> = Vec::new();
-        for &id in Self::live_ids(self) {
-            let node = self.node(id).expect("live id resolves to a node");
-            buf.clear();
-            buf.extend(node.view().ids());
-            visit(id, &buf);
-        }
-    }
-
-    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-        Self::update_fault(self, f);
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Message>>) {
-        Self::subscribe(self, subscriber);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
+    use sandf_core::{InitiateOutcome, SfNode};
 
     use super::*;
 
@@ -674,6 +686,97 @@ mod tests {
         let entries: Vec<(NodeId, bool)> = batch.entries().collect();
         assert_eq!(entries, vec![(NodeId::new(10), true), (NodeId::new(11), false)]);
         assert_eq!(batch.sender, NodeId::new(3));
+    }
+
+    /// One step of the oracle schedule.
+    #[derive(Clone, Debug)]
+    enum OracleOp {
+        Initiate,
+        Receive { sender: u8, payload: u8, dependent: bool },
+    }
+
+    fn arb_oracle_op() -> impl Strategy<Value = OracleOp> {
+        prop_oneof![
+            Just(OracleOp::Initiate),
+            (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(sender, payload, dependent)| {
+                OracleOp::Receive { sender, payload, dependent }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The independent S&F oracle: `SfNode` (the daemon's state
+        /// machine) and `SfBehavior` over a `SlotView` (every engine's),
+        /// fed the same random view, message sequence, and RNG seed, agree
+        /// on every outcome, slot, dependence tag, and counter.
+        #[test]
+        fn sf_behavior_matches_sf_node(
+            half_s in 3..10usize,
+            d_l_pick in any::<u8>(),
+            slots in proptest::collection::vec((any::<bool>(), any::<u8>(), any::<bool>()), 18),
+            ops in proptest::collection::vec(arb_oracle_op(), 1..200),
+            seed in any::<u64>(),
+        ) {
+            let s = 2 * half_s;
+            let d_l = 2 * (usize::from(d_l_pick) % (half_s - 2));
+            let config = SfConfig::new(s, d_l).unwrap();
+            let owner = NodeId::new(1_000);
+            let mut entries: Vec<Option<Entry>> = slots[..s]
+                .iter()
+                .map(|&(occupied, id, dependent)| {
+                    occupied.then(|| Entry { id: NodeId::new(u64::from(id)), dependent })
+                })
+                .collect();
+            // S&F views hold an even number of entries (Observation 5.1).
+            if entries.iter().flatten().count() % 2 == 1 {
+                let first = entries.iter().position(Option::is_some).unwrap();
+                entries[first] = None;
+            }
+            let mut node = SfNode::from_view(owner, config, LocalView::from_slots(entries.clone()));
+            let ids: Vec<u32> =
+                entries.iter().map(|e| e.map_or(EMPTY_SLOT, |e| slot_word(e.id))).collect();
+            let mut window = SlotWindow {
+                ids: ids.into_boxed_slice(),
+                flags: entries.iter().map(|e| e.map_or(0, |e| if e.dependent { FLAG_DEPENDENT } else { 0 })).collect(),
+                degree: u32::try_from(node.out_degree()).unwrap(),
+                stats: NodeStats::new(),
+            };
+            let mut node_rng = StdRng::seed_from_u64(seed);
+            let mut window_rng = StdRng::seed_from_u64(seed);
+            for op in ops {
+                match op {
+                    OracleOp::Initiate => {
+                        let expected = match node.initiate(&mut node_rng) {
+                            InitiateOutcome::SelfLoop => None,
+                            InitiateOutcome::Sent { to, message, duplicated, .. } => {
+                                Some((to, message, duplicated))
+                            }
+                        };
+                        let actual = SfBehavior
+                            .initiate(config, window.view(owner), &mut window_rng)
+                            .map(|(to, msg)| (to, msg, SfBehavior::duplicated(&msg)));
+                        prop_assert_eq!(actual, expected);
+                    }
+                    OracleOp::Receive { sender, payload, dependent } => {
+                        let message = Message::new(
+                            NodeId::new(u64::from(sender)),
+                            NodeId::new(u64::from(payload)),
+                            dependent,
+                        );
+                        let deleted = node.receive(message, &mut node_rng).is_deleted();
+                        let receipt =
+                            SfBehavior.receive(config, window.view(owner), message, &mut window_rng);
+                        prop_assert_eq!(receipt, Receipt { deleted, reply: None });
+                    }
+                }
+                prop_assert_eq!(node.view(), &window.local_view::<SfBehavior>());
+                prop_assert_eq!(node.out_degree(), window.degree as usize);
+                prop_assert_eq!(node.stats(), &window.stats);
+            }
+            prop_assert_eq!(node_rng.next_u64(), window_rng.next_u64(), "RNG streams diverged");
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The Section 5 variants as [`ProtocolBehavior`]s, executable on the
-//! fast arena engines ([`FlatSimulation`](sandf_sim::FlatSimulation),
+//! The Section 5 variants as [`ProtocolBehavior`]s, executable on every
+//! engine ([`Simulation`](sandf_sim::Simulation),
+//! [`FlatSimulation`](sandf_sim::FlatSimulation),
 //! [`ParSimulation`](sandf_sim::ParSimulation)).
 //!
-//! These mirror [`ReplaceNode`](crate::ReplaceNode),
-//! [`UndeleteNode`](crate::UndeleteNode), and
-//! [`BatchedNode`](crate::BatchedNode) over a [`SlotView`] window: the
-//! same slot draws and the same multiset dynamics, with the `Option`/enum
-//! slot representation replaced by the arena's [`EMPTY_SLOT`] sentinel and
-//! [`FLAG_TOMBSTONE`] bit. The vanilla variant needs no re-expression —
-//! it *is* [`SfBehavior`].
+//! Each variant keeps vanilla S&F's slot draws and changes one rule of the
+//! view algebra over a [`SlotView`] window, using the arena's
+//! [`EMPTY_SLOT`] sentinel and [`FLAG_TOMBSTONE`] bit for slot state. The
+//! vanilla variant needs no re-expression — it *is* [`SfBehavior`].
 //!
 //! Wire format: [`IdBatch`] with per-payload dependence bits; the
 //! sender's own dependence rides in the `kind` field
@@ -146,8 +144,7 @@ impl ProtocolBehavior for ReplaceBehavior {
             Receipt::stored()
         } else {
             // Displacement: something was overwritten. Counted as a
-            // deletion (an instance died), matching the VariantStats
-            // `displaced` convention.
+            // deletion (an instance died).
             view.stats.deletions += 1;
             Receipt::deleted()
         }
@@ -412,5 +409,260 @@ impl ProtocolBehavior for BatchedBehavior {
         supplied: usize,
     ) -> Result<(), sandf_core::JoinError> {
         validate_sf_bootstrap(config, supplied)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+    use sandf_sim::{Simulation, SlotWindow, UniformLoss};
+
+    use super::*;
+
+    fn id(raw: u64) -> NodeId {
+        NodeId::new(raw)
+    }
+
+    /// A window for node 0 holding `ids` (untagged) in slot order.
+    fn window(s: usize, ids: impl IntoIterator<Item = u64>) -> SlotWindow {
+        let ids: Vec<NodeId> = ids.into_iter().map(id).collect();
+        SlotWindow::new(s, &ids, 0)
+    }
+
+    fn msg(sender: u64, payloads: &[u64], dependent: bool) -> IdBatch {
+        let mut msg = IdBatch::new(id(sender), kind_of(dependent));
+        for &raw in payloads {
+            msg.push(id(raw), dependent);
+        }
+        msg
+    }
+
+    fn tombstones(w: &SlotWindow) -> usize {
+        (0..w.ids.len()).filter(|&k| UndeleteBehavior::is_tombstone(&w.ids, &w.flags, k)).count()
+    }
+
+    fn live_dependent(w: &SlotWindow) -> usize {
+        (0..w.ids.len()).filter(|&k| w.ids[k] != EMPTY_SLOT && w.flags[k] == FLAG_DEPENDENT).count()
+    }
+
+    /// Retries past self-loops (empty-slot picks) until a send happens.
+    fn send<B: ProtocolBehavior<Msg = IdBatch>>(
+        behavior: &B,
+        config: SfConfig,
+        w: &mut SlotWindow,
+        rng: &mut StdRng,
+    ) -> IdBatch {
+        loop {
+            if let Some((_, out)) = behavior.initiate(config, w.view(id(0)), rng) {
+                return out;
+            }
+        }
+    }
+
+    /// Alternates receives (every `every`-th step) and initiates on one
+    /// window, asserting the Observation 5.1 band and parity throughout.
+    fn band_holds<B: ProtocolBehavior<Msg = IdBatch>>(
+        behavior: &B,
+        config: SfConfig,
+        mut w: SlotWindow,
+        every: u64,
+        payloads: usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(3);
+        for k in 0..2_000u64 {
+            if k % every == 0 {
+                let ids: Vec<u64> = (0..payloads as u64).map(|p| 200 + 100 * p + k).collect();
+                behavior.receive(config, w.view(id(0)), msg(100 + k, &ids, false), &mut rng);
+            } else {
+                behavior.initiate(config, w.view(id(0)), &mut rng);
+            }
+            let d = w.degree as usize;
+            assert!(d >= config.lower_threshold() && d <= config.view_size(), "step {k}: {d}");
+            assert_eq!(d % 2, 0, "odd live degree at step {k}");
+        }
+    }
+
+    #[test]
+    fn undelete_send_tombstones_instead_of_clearing() {
+        let config = SfConfig::new(10, 2).unwrap();
+        let mut w = window(10, 1..=4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let out = send(&UndeleteBehavior, config, &mut w, &mut rng);
+        assert_eq!(w.degree, 2);
+        assert_eq!(tombstones(&w), 2, "sent entries are retained as tombstones");
+        assert_eq!(out.kind, KIND_CLEAN_SEND, "no compensation above d_L");
+    }
+
+    #[test]
+    fn undelete_compensates_from_the_reservoir() {
+        let config = SfConfig::new(10, 2).unwrap();
+        let mut w = window(10, 1..=4);
+        let mut rng = StdRng::seed_from_u64(2);
+        // The first send drops to d = 2 = d_L and leaves 2 tombstones; the
+        // second must compensate, so the live degree stays at 2.
+        send(&UndeleteBehavior, config, &mut w, &mut rng);
+        let out = send(&UndeleteBehavior, config, &mut w, &mut rng);
+        assert_eq!(w.degree, 2, "undeletion restored the live degree");
+        assert_eq!(out.kind, KIND_DEPENDENT_SEND);
+        assert!(UndeleteBehavior::duplicated(&out));
+        assert_eq!(w.stats.duplications, 1);
+    }
+
+    #[test]
+    fn undeleted_entries_are_tagged_dependent() {
+        let config = SfConfig::new(10, 2).unwrap();
+        let mut w = window(10, 1..=4);
+        let mut rng = StdRng::seed_from_u64(5);
+        send(&UndeleteBehavior, config, &mut w, &mut rng);
+        assert_eq!(live_dependent(&w), 0, "the bootstrap entries are untagged");
+        send(&UndeleteBehavior, config, &mut w, &mut rng);
+        // Both live entries are restored stale copies of sent ids.
+        assert_eq!(live_dependent(&w), 2);
+    }
+
+    #[test]
+    fn undelete_receive_reclaims_tombstones_before_deleting() {
+        let config = SfConfig::new(6, 0).unwrap();
+        let mut w = window(6, 1..=6);
+        let mut rng = StdRng::seed_from_u64(4);
+        // All six slots live: the first pick always sends → 4 live, 2
+        // tombstones.
+        UndeleteBehavior.initiate(config, w.view(id(0)), &mut rng).unwrap();
+        assert_eq!(tombstones(&w), 2);
+        let receipt =
+            UndeleteBehavior.receive(config, w.view(id(0)), msg(50, &[51], false), &mut rng);
+        assert!(!receipt.deleted);
+        assert_eq!(w.degree, 6);
+        assert_eq!(tombstones(&w), 0, "the arrivals reclaimed both tombstones");
+        // Now fully live: a further receive is deleted.
+        let receipt =
+            UndeleteBehavior.receive(config, w.view(id(0)), msg(60, &[61], false), &mut rng);
+        assert!(receipt.deleted);
+        assert_eq!(w.degree, 6);
+        assert_eq!(w.stats.deletions, 1);
+    }
+
+    #[test]
+    fn undelete_live_degree_respects_the_band() {
+        let config = SfConfig::new(10, 2).unwrap();
+        band_holds(&UndeleteBehavior, config, window(10, 1..=6), 3, 1);
+    }
+
+    #[test]
+    fn replace_full_view_replaces_instead_of_deleting() {
+        let config = SfConfig::new(6, 0).unwrap();
+        let mut w = window(6, 1..=6);
+        let mut rng = StdRng::seed_from_u64(1);
+        let receipt =
+            ReplaceBehavior.receive(config, w.view(id(0)), msg(50, &[51], false), &mut rng);
+        assert!(receipt.deleted, "a displacement counts as a deletion");
+        assert_eq!(w.degree, 6, "view stays full");
+        // The second arrival can legally evict the first (victims are
+        // uniform over all slots), but the last one stored always survives
+        // and at least one original entry must have been overwritten.
+        assert!(w.ids.contains(&51), "last arrival was stored");
+        assert!((1..=6).any(|raw| !w.ids.contains(&raw)), "an original entry was replaced");
+        assert_eq!(w.stats.deletions, 1);
+    }
+
+    #[test]
+    fn replace_initiate_matches_vanilla_semantics() {
+        let config = SfConfig::new(8, 2).unwrap();
+        let mut w = window(8, 1..=4);
+        let mut rng = StdRng::seed_from_u64(2);
+        let out = send(&ReplaceBehavior, config, &mut w, &mut rng);
+        assert_eq!(w.degree, 2);
+        assert_eq!(out.kind, KIND_CLEAN_SEND);
+        // At d_L the next send duplicates.
+        let out = send(&ReplaceBehavior, config, &mut w, &mut rng);
+        assert_eq!(out.kind, KIND_DEPENDENT_SEND);
+        assert_eq!(w.degree, 2);
+    }
+
+    #[test]
+    fn replace_band_invariant_holds() {
+        let config = SfConfig::new(8, 2).unwrap();
+        band_holds(&ReplaceBehavior, config, window(8, 1..=4), 2, 1);
+    }
+
+    #[test]
+    fn batched_sends_batch_payloads() {
+        let config = SfConfig::new(16, 2).unwrap();
+        let mut w = window(16, 1..=10);
+        let mut rng = StdRng::seed_from_u64(1);
+        let out = send(&BatchedBehavior::new(3), config, &mut w, &mut rng);
+        assert_eq!(out.len, 3);
+        assert_eq!(w.degree, 6, "cleared 4 entries");
+    }
+
+    #[test]
+    fn batched_duplicates_near_the_threshold() {
+        let config = SfConfig::new(16, 2).unwrap();
+        let mut w = window(16, 1..=4);
+        let mut rng = StdRng::seed_from_u64(2);
+        // degree 4 < d_L + b + 1 = 6: must duplicate.
+        let out = send(&BatchedBehavior::new(3), config, &mut w, &mut rng);
+        assert_eq!(out.kind, KIND_DEPENDENT_SEND);
+        assert_eq!(w.degree, 4);
+    }
+
+    #[test]
+    fn batched_receive_is_all_or_nothing() {
+        let config = SfConfig::new(8, 0).unwrap();
+        let mut w = window(8, 1..=6);
+        let mut rng = StdRng::seed_from_u64(3);
+        // 2 empty slots < 4 arriving ids: delete all.
+        let receipt = BatchedBehavior::new(3).receive(
+            config,
+            w.view(id(0)),
+            msg(50, &[51, 52, 53], false),
+            &mut rng,
+        );
+        assert!(receipt.deleted);
+        assert_eq!(w.degree, 6);
+        assert_eq!(w.stats.deletions, 1);
+        // One payload fits: stored whole.
+        let receipt =
+            BatchedBehavior::new(3).receive(config, w.view(id(0)), msg(60, &[61], false), &mut rng);
+        assert!(!receipt.deleted);
+        assert_eq!(w.degree, 8);
+    }
+
+    #[test]
+    fn batched_band_and_parity_invariants() {
+        let config = SfConfig::new(16, 2).unwrap();
+        band_holds(&BatchedBehavior::new(3), config, window(16, 1..=10), 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn batched_rejects_an_even_batch() {
+        let _ = BatchedBehavior::new(2);
+    }
+
+    fn ring(n: u64, k: u64) -> Vec<(NodeId, Vec<NodeId>)> {
+        (0..n).map(|i| (id(i), (1..=k).map(|d| id((i + d) % n)).collect())).collect()
+    }
+
+    /// Each variant keeps a 64-node population connected and inside its
+    /// band under 5 % loss (run on the classic reference engine).
+    fn survives_loss<B: ProtocolBehavior>(behavior: B, config: SfConfig, k: u64, seed: u64) {
+        let loss = UniformLoss::new(0.05).unwrap();
+        let mut sim = Simulation::from_views(behavior, config, ring(64, k), loss, seed);
+        sim.run_rounds(200);
+        let graph = sim.graph();
+        assert!(graph.is_weakly_connected(), "population partitioned");
+        let mean_out = graph.edge_count() as f64 / 64.0;
+        assert!(mean_out >= config.lower_threshold() as f64, "mean outdegree {mean_out}");
+        assert!(sim.stats().duplications > 0, "5 % loss never triggered compensation");
+    }
+
+    #[test]
+    fn every_variant_survives_loss() {
+        let config = SfConfig::new(16, 6).unwrap();
+        survives_loss(SfBehavior, config, 10, 1);
+        survives_loss(UndeleteBehavior, config, 10, 2);
+        survives_loss(ReplaceBehavior, config, 10, 3);
+        survives_loss(BatchedBehavior::new(3), SfConfig::new(24, 6).unwrap(), 12, 4);
     }
 }

@@ -16,7 +16,9 @@
 //!   Eq. 6.1, threshold selection, dependence MC, decay and conductance
 //!   bounds, exact tiny-system enumeration);
 //! * [`baselines`] — push-only, shuffle, and push-pull comparison
-//!   protocols behind one trait;
+//!   protocols, each one [`ProtocolBehavior`] that runs on every engine;
+//! * [`variants`] — the §5 optimizations the paper deferred (undeletion,
+//!   replace-when-full, batched sends), likewise one behavior each;
 //! * [`net`] — lossy in-memory and UDP transports with the 17-byte wire
 //!   codec;
 //! * [`runtime`] — a threaded per-node runtime and cluster harness;

@@ -3,17 +3,19 @@
 //! loss patterns — first at the single-node level, then at the engine
 //! level, where the same random schedules of rounds, loss rates, and
 //! churn run on all three engines (`Simulation`, `FlatSimulation`,
-//! `ParSimulation`).
+//! `ParSimulation`) — for S&F and for every other protocol in the zoo.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sandf::baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf::core::InitiateOutcome;
+use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
     Engine, FlatSimulation, MembershipGraph, Message, NodeCapacity, NodeId, ParSimulation,
-    PerLinkLoss, PhaseFault, RegionalPartition, ScheduledFault, SfConfig, SfNode, Simulation,
-    UniformLoss, VictimLoss,
+    PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition, ScheduledFault, SfConfig, SfNode,
+    Simulation, UniformLoss, VictimLoss,
 };
 
 /// One externally scheduled event.
@@ -166,7 +168,8 @@ fn build_schedule(phases: &[(u8, FaultKind)]) -> ScheduledFault {
 }
 
 /// Drives one engine through a schedule, checking after every operation:
-/// Obs. 5.1 (outdegrees even and inside `[d_L, s]`) and id provenance
+/// Obs. 5.1 (outdegrees even and inside `[d_L, s]`; with `band` off —
+/// the §3.1 baselines — only the capacity bound `≤ s`) and id provenance
 /// (every view entry names an id the system actually assigned — never a
 /// forged or corrupted id, which would expose e.g. a sentinel leak in the
 /// flat/par slot encoding). Views *can* transiently hold their owner's id
@@ -178,6 +181,7 @@ fn obs_5_1_schedule<E: Engine>(
     mut sim: E,
     ops: &[EngineOp],
     config: SfConfig,
+    band: bool,
 ) -> Result<(), TestCaseError> {
     let mut live: Vec<NodeId> = (0..ENGINE_N as u64).map(NodeId::new).collect();
     let mut highest_assigned = ENGINE_N as u64 - 1;
@@ -201,9 +205,13 @@ fn obs_5_1_schedule<E: Engine>(
         }
         let graph = sim.graph();
         for d in graph.out_degrees() {
+            prop_assert!(d <= config.view_size(), "outdegree {} exceeds s", d);
+            if !band {
+                continue;
+            }
             prop_assert_eq!(d % 2, 0, "odd outdegree");
             prop_assert!(
-                d >= config.lower_threshold() && d <= config.view_size(),
+                d >= config.lower_threshold(),
                 "outdegree {} escaped [{}, {}]",
                 d,
                 config.lower_threshold(),
@@ -222,6 +230,33 @@ fn obs_5_1_schedule<E: Engine>(
         }
     }
     Ok(())
+}
+
+/// Ring bootstrap for the zoo schedules: node `i` knows the next `k` ids.
+fn ring_views(k: u64) -> Vec<(NodeId, Vec<NodeId>)> {
+    let n = ENGINE_N as u64;
+    (0..n).map(|i| (NodeId::new(i), (1..=k).map(|d| NodeId::new((i + d) % n)).collect())).collect()
+}
+
+/// One behavior through the same op and fault schedule on all three
+/// engines.
+fn zoo_schedule<B: ProtocolBehavior>(
+    behavior: B,
+    band: bool,
+    fault: &ScheduledFault,
+    ops: &[EngineOp],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let config = engine_config();
+    let views = ring_views(6);
+    let classic =
+        Simulation::from_views(behavior.clone(), config, views.clone(), fault.clone(), seed);
+    obs_5_1_schedule(classic, ops, config, band)?;
+    let flat =
+        FlatSimulation::from_views(behavior.clone(), config, views.clone(), fault.clone(), seed);
+    obs_5_1_schedule(flat, ops, config, band)?;
+    let par = ParSimulation::from_views(behavior, config, views, fault.clone(), seed, 2);
+    obs_5_1_schedule(par, ops, config, band)
 }
 
 /// Runs one engine for a fixed number of immediate-delivery rounds and
@@ -365,9 +400,9 @@ proptest! {
         let config = engine_config();
         let loss = UniformLoss::new(f64::from(rate_milli) / 1000.0).expect("valid rate");
         let nodes = build_system(ENGINE_N, config, 6);
-        obs_5_1_schedule(Simulation::new(nodes.clone(), loss, seed), &ops, config)?;
-        obs_5_1_schedule(FlatSimulation::new(nodes.clone(), loss, seed), &ops, config)?;
-        obs_5_1_schedule(ParSimulation::new(nodes, loss, seed, 2), &ops, config)?;
+        obs_5_1_schedule(Simulation::new(nodes.clone(), loss, seed), &ops, config, true)?;
+        obs_5_1_schedule(FlatSimulation::new(nodes.clone(), loss, seed), &ops, config, true)?;
+        obs_5_1_schedule(ParSimulation::new(nodes, loss, seed, 2), &ops, config, true)?;
     }
 
     /// Id conservation at the engine level: over any schedule of rounds at
@@ -398,6 +433,9 @@ proptest! {
     /// `[d_L, s]` with no forged ids, on all three engines. Correlated
     /// faults shape *which* messages drop, never the per-node view
     /// algebra, so the safety invariants are fault-model-independent.
+    /// Every other protocol in the zoo runs the same schedule on all three
+    /// engines: the Section 5 variants keep the band, the §3.1 baselines
+    /// the capacity bound.
     #[test]
     fn engines_preserve_observation_5_1_under_scenario_faults(
         phases in vec((any::<u8>(), arb_fault_kind()), 1..4),
@@ -407,9 +445,15 @@ proptest! {
         let config = engine_config();
         let fault = build_schedule(&phases);
         let nodes = build_system(ENGINE_N, config, 6);
-        obs_5_1_schedule(Simulation::new(nodes.clone(), fault.clone(), seed), &ops, config)?;
-        obs_5_1_schedule(FlatSimulation::new(nodes.clone(), fault.clone(), seed), &ops, config)?;
-        obs_5_1_schedule(ParSimulation::new(nodes, fault, seed, 2), &ops, config)?;
+        obs_5_1_schedule(Simulation::new(nodes.clone(), fault.clone(), seed), &ops, config, true)?;
+        obs_5_1_schedule(FlatSimulation::new(nodes.clone(), fault.clone(), seed), &ops, config, true)?;
+        obs_5_1_schedule(ParSimulation::new(nodes, fault.clone(), seed, 2), &ops, config, true)?;
+        zoo_schedule(PushOnlyBehavior, false, &fault, &ops, seed)?;
+        zoo_schedule(PushPullBehavior::new(3), false, &fault, &ops, seed)?;
+        zoo_schedule(ShuffleBehavior::new(3), false, &fault, &ops, seed)?;
+        zoo_schedule(ReplaceBehavior, true, &fault, &ops, seed)?;
+        zoo_schedule(UndeleteBehavior, true, &fault, &ops, seed)?;
+        zoo_schedule(BatchedBehavior::new(3), true, &fault, &ops, seed)?;
     }
 
     /// Id conservation under the scenario fault models. Capacity gating
